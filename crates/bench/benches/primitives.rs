@@ -63,7 +63,7 @@ fn bench_access(c: &mut Criterion) {
         let mut w = ps.worker(WorkerId { node: NodeId(0), local: 0 });
         let mut buf = vec![0.0f32; VALUE_LEN];
         // Key 900 is homed at node 1.
-        g.bench_function("pull_remote_roundtrip", |b| b.iter(|| w.pull(black_box(900), &mut buf)));
+        g.bench_function("pull_remote_round_trip", |b| b.iter(|| w.pull(black_box(900), &mut buf)));
         drop(w);
         ps.shutdown();
     }

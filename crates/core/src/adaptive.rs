@@ -499,12 +499,11 @@ fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
             let (msg, reply_to) = match op {
                 QueuedOp::Push { delta, reply_to, hops } => {
                     add_assign(value, &delta);
-                    (Msg::PushAck { key, hops: hops.saturating_add(1) }, reply_to)
+                    (Msg::push_reply(key, hops), reply_to)
                 }
-                QueuedOp::Pull { reply_to, hops } => (
-                    Msg::PullResp { key, value: value.clone(), hops: hops.saturating_add(1) },
-                    reply_to,
-                ),
+                QueuedOp::Pull { reply_to, hops } => {
+                    (Msg::pull_reply(key, value.clone(), hops), reply_to)
+                }
             };
             shared.fabric.post(Frame {
                 src: Addr::server(node.node),

@@ -6,12 +6,14 @@
 //! (Lapse/NuPS used ZeroMQ + protocol buffers; our framing overhead is
 //! modelled in [`nups_sim::cost::WIRE_HEADER_BYTES`]).
 //!
-//! Relocation follows the Lapse 3-message protocol (Section 3.1.3):
-//! `LocalizeReq` to the home node, `ForwardLocalize` from home to the
+//! There is one access path: every pull, push and localize travels as a
+//! batch message, and a single-key operation is a batch of one. Relocation
+//! follows the Lapse 3-message protocol (Section 3.1.3):
+//! `LocalizeBatchReq` to the home node, `ForwardLocalize` from home to the
 //! current owner, `Transfer` from the owner to the requester. Remote
-//! accesses are `PullReq`/`PushReq` with responses routed directly to the
-//! requesting worker's reply port; a `hops` count records forwarding so the
-//! requester can charge the correct virtual-time cost.
+//! accesses are `PullBatchReq`/`PushBatchReq` with responses routed
+//! directly to the requesting worker's reply port; a `hops` count records
+//! forwarding so the requester can charge the correct virtual-time cost.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use nups_sim::codec::{
@@ -32,38 +34,30 @@ pub struct KeyUpdate {
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Read `key`; the response goes directly to `reply_to`.
-    PullReq { key: Key, reply_to: Addr, hops: u8 },
-    /// Additively apply `delta` to `key`; ack goes to `reply_to`.
-    PushReq { key: Key, delta: Vec<f32>, reply_to: Addr, hops: u8 },
-    /// Response to [`Msg::PullReq`]. `hops` echoes the total messages the
-    /// chain took so the requester can price its wait.
-    PullResp { key: Key, value: Vec<f32>, hops: u8 },
-    /// Response to [`Msg::PushReq`].
-    PushAck { key: Key, hops: u8 },
-    /// Worker at `requester` asks the home node to relocate `key` to it.
-    LocalizeReq { key: Key, requester: NodeId },
     /// Home tells the current owner to hand `key` over to `requester`.
     ForwardLocalize { key: Key, requester: NodeId },
     /// Ownership transfer carrying the parameter value.
     Transfer { key: Key, value: Vec<f32> },
 
-    /// Multi-key read: one request per destination node instead of one
-    /// message per key. The receiving server answers its locally-owned
-    /// subset in a single [`Msg::PullBatchResp`], parks entries that are
-    /// in flight (answered individually at install time), and forwards the
-    /// remainder along the ownership chain — so replies to one request may
-    /// arrive split across several messages.
+    /// Read `keys`: one request per destination node, one entry per key
+    /// (a single-key pull is a batch of one). The receiving server answers
+    /// its locally-owned subset in a single [`Msg::PullBatchResp`], parks
+    /// entries that are in flight (each answered by a one-entry response
+    /// at install time), and forwards the remainder along the ownership
+    /// chain — so replies to one request may arrive split across several
+    /// messages.
     PullBatchReq { keys: Vec<Key>, reply_to: Addr, hops: u8 },
     /// The subset of a [`Msg::PullBatchReq`] one server answered. `hops`
-    /// counts the chain this subset took, including this response.
+    /// counts the chain this subset took, including this response, so the
+    /// requester can price its wait.
     PullBatchResp { values: Vec<KeyUpdate>, hops: u8 },
-    /// Multi-key additive update, grouped like [`Msg::PullBatchReq`].
+    /// Additive updates, grouped like [`Msg::PullBatchReq`]; acks go to
+    /// `reply_to`.
     PushBatchReq { updates: Vec<KeyUpdate>, reply_to: Addr, hops: u8 },
     /// Ack for the subset of a [`Msg::PushBatchReq`] applied at one node.
     PushBatchAck { keys: Vec<Key>, hops: u8 },
-    /// Batched relocation intent: `requester` asks a home node for all of
-    /// `keys` (each homed there) in one message.
+    /// Relocation intent: `requester` asks a home node for all of `keys`
+    /// (each homed there) in one message.
     LocalizeBatchReq { keys: Vec<Key>, requester: NodeId },
 
     /// Technique migration, relocated → replicated: the owning node
@@ -166,11 +160,9 @@ pub enum Msg {
 }
 
 mod tag {
-    pub const PULL_REQ: u8 = 1;
-    pub const PUSH_REQ: u8 = 2;
-    pub const PULL_RESP: u8 = 3;
-    pub const PUSH_ACK: u8 = 4;
-    pub const LOCALIZE_REQ: u8 = 5;
+    // Tags 1-5 are retired (protocol version 1's single-key PullReq,
+    // PushReq, PullResp, PushAck, LocalizeReq). Never reuse them: a stray
+    // version-1 payload must decode to `UnknownTag`, not to a live message.
     pub const FORWARD_LOCALIZE: u8 = 6;
     pub const TRANSFER: u8 = 7;
     pub const SSP_PULL_REQ: u8 = 8;
@@ -227,16 +219,6 @@ fn put_updates(buf: &mut BytesMut, updates: &[KeyUpdate]) {
 /// answered entries — these helpers let it price the chain it can
 /// reconstruct. Each is asserted against `encoded_len` in the tests below.
 impl Msg {
-    /// Encoded size of a [`Msg::PullReq`].
-    pub fn pull_req_len() -> usize {
-        1 + 8 + ADDR_LEN + 1
-    }
-
-    /// Encoded size of a [`Msg::PushReq`] carrying one `value_len` delta.
-    pub fn push_req_len(value_len: usize) -> usize {
-        1 + 8 + f32_slice_len_for(value_len) + ADDR_LEN + 1
-    }
-
     /// Encoded size of a [`Msg::PullBatchReq`] over `n_keys` keys.
     pub fn pull_batch_req_len(n_keys: usize) -> usize {
         1 + 4 + 8 * n_keys + ADDR_LEN + 1
@@ -251,6 +233,23 @@ impl Msg {
 
 fn f32_slice_len_for(n: usize) -> usize {
     4 + 4 * n
+}
+
+impl Msg {
+    /// The reply to one pull that was parked on an in-flight entry and is
+    /// answered on its own at install time: a [`Msg::PullBatchResp`] of
+    /// one. `hops` is the parked request's count; the reply is one more.
+    pub(crate) fn pull_reply(key: Key, value: Vec<f32>, hops: u8) -> Msg {
+        Msg::PullBatchResp {
+            values: vec![KeyUpdate { key, delta: value }],
+            hops: hops.saturating_add(1),
+        }
+    }
+
+    /// The ack for one parked push: a [`Msg::PushBatchAck`] of one.
+    pub(crate) fn push_reply(key: Key, hops: u8) -> Msg {
+        Msg::PushBatchAck { keys: vec![key], hops: hops.saturating_add(1) }
+    }
 }
 
 fn get_updates(buf: &mut Bytes) -> Result<Vec<KeyUpdate>, CodecError> {
@@ -322,11 +321,7 @@ fn get_promotions(buf: &mut Bytes) -> Result<Vec<(Key, u32)>, CodecError> {
 impl WireEncode for Msg {
     fn encoded_len(&self) -> usize {
         1 + match self {
-            Msg::PullReq { .. } => 8 + ADDR_LEN + 1,
-            Msg::PushReq { delta, .. } => 8 + f32_slice_len(delta) + ADDR_LEN + 1,
-            Msg::PullResp { value, .. } => 8 + f32_slice_len(value) + 1,
-            Msg::PushAck { .. } => 8 + 1,
-            Msg::LocalizeReq { .. } | Msg::ForwardLocalize { .. } => 8 + 2,
+            Msg::ForwardLocalize { .. } => 8 + 2,
             Msg::Transfer { value, .. } => 8 + f32_slice_len(value),
             Msg::SspPullReq { .. } => 8 + ADDR_LEN,
             Msg::SspPullResp { value, .. } => 8 + f32_slice_len(value),
@@ -358,35 +353,6 @@ impl WireEncode for Msg {
 
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            Msg::PullReq { key, reply_to, hops } => {
-                buf.put_u8(tag::PULL_REQ);
-                buf.put_u64_le(*key);
-                put_addr(buf, *reply_to);
-                buf.put_u8(*hops);
-            }
-            Msg::PushReq { key, delta, reply_to, hops } => {
-                buf.put_u8(tag::PUSH_REQ);
-                buf.put_u64_le(*key);
-                put_f32_slice(buf, delta);
-                put_addr(buf, *reply_to);
-                buf.put_u8(*hops);
-            }
-            Msg::PullResp { key, value, hops } => {
-                buf.put_u8(tag::PULL_RESP);
-                buf.put_u64_le(*key);
-                put_f32_slice(buf, value);
-                buf.put_u8(*hops);
-            }
-            Msg::PushAck { key, hops } => {
-                buf.put_u8(tag::PUSH_ACK);
-                buf.put_u64_le(*key);
-                buf.put_u8(*hops);
-            }
-            Msg::LocalizeReq { key, requester } => {
-                buf.put_u8(tag::LOCALIZE_REQ);
-                buf.put_u64_le(*key);
-                buf.put_u16_le(requester.0);
-            }
             Msg::ForwardLocalize { key, requester } => {
                 buf.put_u8(tag::FORWARD_LOCALIZE);
                 buf.put_u64_le(*key);
@@ -508,22 +474,6 @@ impl WireEncode for Msg {
     fn decode(buf: &mut Bytes) -> Result<Msg, CodecError> {
         let t = get_u8(buf)?;
         Ok(match t {
-            tag::PULL_REQ => {
-                Msg::PullReq { key: get_u64(buf)?, reply_to: get_addr(buf)?, hops: get_u8(buf)? }
-            }
-            tag::PUSH_REQ => Msg::PushReq {
-                key: get_u64(buf)?,
-                delta: get_f32_vec(buf)?,
-                reply_to: get_addr(buf)?,
-                hops: get_u8(buf)?,
-            },
-            tag::PULL_RESP => {
-                Msg::PullResp { key: get_u64(buf)?, value: get_f32_vec(buf)?, hops: get_u8(buf)? }
-            }
-            tag::PUSH_ACK => Msg::PushAck { key: get_u64(buf)?, hops: get_u8(buf)? },
-            tag::LOCALIZE_REQ => {
-                Msg::LocalizeReq { key: get_u64(buf)?, requester: NodeId(get_u16(buf)?) }
-            }
             tag::FORWARD_LOCALIZE => {
                 Msg::ForwardLocalize { key: get_u64(buf)?, requester: NodeId(get_u16(buf)?) }
             }
@@ -609,11 +559,6 @@ mod tests {
     #[test]
     fn roundtrip_every_variant() {
         let addr = Addr::worker(NodeId(3), 1);
-        roundtrip(Msg::PullReq { key: 9, reply_to: addr, hops: 2 });
-        roundtrip(Msg::PushReq { key: 9, delta: vec![1.0, -2.0], reply_to: addr, hops: 3 });
-        roundtrip(Msg::PullResp { key: 9, value: vec![0.25; 7], hops: 2 });
-        roundtrip(Msg::PushAck { key: 1, hops: 2 });
-        roundtrip(Msg::LocalizeReq { key: 5, requester: NodeId(1) });
         roundtrip(Msg::ForwardLocalize { key: 5, requester: NodeId(1) });
         roundtrip(Msg::Transfer { key: 5, value: vec![] });
         roundtrip(Msg::SspPullReq { key: 4, reply_to: addr });
@@ -713,14 +658,6 @@ mod tests {
     fn chain_reconstruction_lens_match_real_encodings() {
         let addr = Addr::worker(NodeId(3), 1);
         assert_eq!(
-            Msg::pull_req_len(),
-            Msg::PullReq { key: 1, reply_to: addr, hops: 9 }.encoded_len()
-        );
-        assert_eq!(
-            Msg::push_req_len(5),
-            Msg::PushReq { key: 1, delta: vec![0.0; 5], reply_to: addr, hops: 1 }.encoded_len()
-        );
-        assert_eq!(
             Msg::pull_batch_req_len(4),
             Msg::PullBatchReq { keys: vec![0; 4], reply_to: addr, hops: 1 }.encoded_len()
         );
@@ -737,12 +674,11 @@ mod tests {
 
     #[test]
     fn batch_framing_amortizes_over_entries() {
-        // The point of the batch messages: n keys in one request cost far
-        // less wire than n single-key requests.
-        let addr = Addr::worker(NodeId(0), 0);
+        // The point of batching: n keys in one request cost far less wire
+        // than n one-key requests.
         let n = 64;
-        let batched = Msg::PullBatchReq { keys: vec![0; n], reply_to: addr, hops: 1 }.encoded_len();
-        let singles = n * Msg::PullReq { key: 0, reply_to: addr, hops: 1 }.encoded_len();
+        let batched = Msg::pull_batch_req_len(n);
+        let singles = n * Msg::pull_batch_req_len(1);
         assert!(batched < singles / 10 * 6, "batched {batched} vs singles {singles}");
     }
 
@@ -753,10 +689,30 @@ mod tests {
     }
 
     #[test]
+    fn retired_single_key_tags_are_rejected() {
+        // Protocol version 1's PullReq, PushReq, PullResp, PushAck and
+        // LocalizeReq, as a version-1 peer encoded them: each must fail as
+        // an unknown tag rather than alias a live message.
+        let v1_payloads: [&[u8]; 5] = [
+            &[1, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 1, 0, 1],
+            &[2, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 128, 63, 3, 0, 1, 0, 1],
+            &[3, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 128, 63, 2],
+            &[4, 9, 0, 0, 0, 0, 0, 0, 0, 2],
+            &[5, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+        ];
+        for (i, payload) in v1_payloads.into_iter().enumerate() {
+            let tag = i as u8 + 1;
+            assert_eq!(payload[0], tag);
+            let mut b = Bytes::from_static(payload);
+            assert_eq!(Msg::decode(&mut b), Err(CodecError::UnknownTag(tag)));
+        }
+    }
+
+    #[test]
     fn value_size_dominates_wire_size() {
         // A dim-500 pull response should be ~2 KB of payload: the figures
         // on communication volume depend on this being faithful.
-        let m = Msg::PullResp { key: 0, value: vec![0.0; 500], hops: 2 };
+        let m = Msg::pull_reply(0, vec![0.0; 500], 1);
         let len = m.encoded_len();
         assert!((2000..2100).contains(&len), "unexpected wire size {len}");
     }
@@ -767,16 +723,14 @@ mod tests {
         let addr =
             (any::<u16>(), any::<u16>()).prop_map(|(n, p)| Addr { node: NodeId(n), port: p });
         prop_oneof![
-            (any::<u64>(), addr.clone(), any::<u8>())
-                .prop_map(|(key, reply_to, hops)| Msg::PullReq { key, reply_to, hops }),
-            (any::<u64>(), val.clone(), addr.clone(), any::<u8>()).prop_map(
-                |(key, delta, reply_to, hops)| { Msg::PushReq { key, delta, reply_to, hops } }
+            (proptest::collection::vec((any::<u64>(), val.clone()), 0..8), any::<u8>()).prop_map(
+                |(kv, hops)| Msg::PullBatchResp {
+                    values: kv.into_iter().map(|(key, delta)| KeyUpdate { key, delta }).collect(),
+                    hops,
+                }
             ),
-            (any::<u64>(), val.clone(), any::<u8>()).prop_map(|(key, value, hops)| Msg::PullResp {
-                key,
-                value,
-                hops
-            }),
+            (proptest::collection::vec(any::<u64>(), 0..16), any::<u8>())
+                .prop_map(|(keys, hops)| Msg::PushBatchAck { keys, hops }),
             (any::<u64>(), val.clone()).prop_map(|(key, value)| Msg::Transfer { key, value }),
             (any::<u16>(), proptest::collection::vec((any::<u64>(), val.clone()), 0..8)).prop_map(
                 |(from, kv)| Msg::SspFlush {

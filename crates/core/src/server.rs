@@ -2,10 +2,16 @@
 //!
 //! One server thread per node demultiplexes protocol messages: remote
 //! pulls/pushes (forwarding them along the ownership chain when the key
-//! moved), the three-message Lapse relocation protocol, and shutdown. The
-//! server never blocks on a parameter: operations against in-flight keys
-//! are parked on the store entry and answered when the transfer installs,
-//! which keeps the loop live and the per-key operation order sequential.
+//! moved), the three-message Lapse relocation protocol, and shutdown. A
+//! single-key access is a batch of one, so every protocol rule lives in
+//! one handler per operation. The server never blocks on a parameter:
+//! operations against in-flight keys are parked on the store entry and
+//! answered when the transfer installs, which keeps the loop live and the
+//! per-key operation order sequential.
+//!
+//! Frames arrive from outside the process: one that does not decode, or
+//! that decodes to a message no server expects, is journaled as a
+//! `bad_frame` event and dropped — the node stays up.
 
 use std::sync::Arc;
 
@@ -19,7 +25,7 @@ use crate::key::Key;
 use crate::messages::{KeyUpdate, Msg};
 use crate::node::{NodeState, Shared};
 use crate::runtime::Port;
-use crate::store::{PromoteTake, QueuedOp, ServerAccess, TakeOutcome};
+use crate::store::{PromoteTake, QueuedOp, TakeOutcome};
 
 /// Append `item` to `dst`'s group, keeping one group per destination in
 /// first-appearance order (node counts are small; linear scan wins over a
@@ -29,6 +35,14 @@ pub(crate) fn group_by_node<T>(groups: &mut Vec<(NodeId, Vec<T>)>, dst: NodeId, 
         Some((_, items)) => items.push(item),
         None => groups.push((dst, vec![item])),
     }
+}
+
+/// What the server loop does after one message.
+enum Handled {
+    Continue,
+    Stop,
+    /// Well-formed, but not a message a relocation server accepts.
+    Unexpected,
 }
 
 pub struct Server {
@@ -46,15 +60,17 @@ impl Server {
     pub fn run(mut self) {
         while let Some(frame) = self.endpoint.recv() {
             let mut payload = frame.payload;
-            let msg = match Msg::decode(&mut payload) {
-                Ok(m) => m,
-                Err(e) => {
-                    debug_assert!(false, "undecodable frame at {}: {e}", self.state.node);
-                    continue;
-                }
+            let (tag, len) = (payload.first().copied().unwrap_or(0), payload.len());
+            let handled = match Msg::decode(&mut payload) {
+                Ok(msg) => self.handle(msg, frame.sent_at),
+                Err(_) => Handled::Unexpected,
             };
-            if !self.handle(msg, frame.sent_at) {
-                break;
+            match handled {
+                Handled::Continue => {}
+                Handled::Stop => break,
+                Handled::Unexpected => {
+                    self.journal(frame.sent_at, "bad_frame", tag as u64, len as u64)
+                }
             }
         }
     }
@@ -75,14 +91,8 @@ impl Server {
         self.shared.obs.event(at, self.me().0, actor::SERVER, name, a, b);
     }
 
-    /// Returns `false` on `Stop`.
-    fn handle(&mut self, msg: Msg, at: SimTime) -> bool {
+    fn handle(&mut self, msg: Msg, at: SimTime) -> Handled {
         match msg {
-            Msg::PullReq { key, reply_to, hops } => self.handle_pull(key, reply_to, hops, at),
-            Msg::PushReq { key, delta, reply_to, hops } => {
-                self.handle_push(key, delta, reply_to, hops, at)
-            }
-            Msg::LocalizeReq { key, requester } => self.handle_localize(key, requester, at),
             Msg::ForwardLocalize { key, requester } => {
                 self.handle_forward_localize(key, requester, at)
             }
@@ -116,13 +126,11 @@ impl Server {
             // The only pushes a server issues carry its own server port as
             // the reply address: demotion residues and stray sync deltas
             // folded at the home. Their acks land here.
-            Msg::PushAck { .. } => self.handle_self_ack(at),
-            Msg::Stop => return false,
-            other => {
-                debug_assert!(false, "unexpected message at relocation server: {other:?}");
-            }
+            Msg::PushBatchAck { keys, .. } => return self.handle_self_ack(keys.len(), at),
+            Msg::Stop => return Handled::Stop,
+            _ => return Handled::Unexpected,
         }
-        true
+        Handled::Continue
     }
 
     /// Resolve where an operation on `key` should go when we do not own
@@ -165,75 +173,12 @@ impl Server {
         true
     }
 
-    fn handle_pull(&mut self, key: Key, reply_to: Addr, hops: u8, at: SimTime) {
-        // At the home node, consult the directory first: the request may
-        // need forwarding to the current owner.
-        if let Some(owner) = self.directory_detour(key) {
-            let fwd = Msg::PullReq { key, reply_to, hops: hops.saturating_add(1) };
-            self.send(Addr::server(owner), at, &fwd);
-            return;
-        }
-        match self.state.store.server_pull(key, reply_to, hops) {
-            ServerAccess::Served(Some(value)) => {
-                let resp = Msg::PullResp { key, value, hops: hops.saturating_add(1) };
-                self.send(reply_to, at, &resp);
-            }
-            ServerAccess::Served(None) => unreachable!("pull always returns a value"),
-            ServerAccess::Queued => {} // answered at install time
-            ServerAccess::Migrated => match self.replica_pull(key) {
-                Some(value) => {
-                    let resp = Msg::PullResp { key, value, hops: hops.saturating_add(1) };
-                    self.send(reply_to, at, &resp);
-                }
-                None => {
-                    let fwd = Msg::PullReq { key, reply_to, hops: hops.saturating_add(1) };
-                    self.send(Addr::server(self.shared.keyspace.home(key)), at, &fwd);
-                }
-            },
-            ServerAccess::NotHere(hint) => {
-                let dst = self.chase(key, hint);
-                let fwd = Msg::PullReq { key, reply_to, hops: hops.saturating_add(1) };
-                self.send(Addr::server(dst), at, &fwd);
-            }
-        }
-    }
-
-    fn handle_push(&mut self, key: Key, delta: Vec<f32>, reply_to: Addr, hops: u8, at: SimTime) {
-        if let Some(owner) = self.directory_detour(key) {
-            let fwd = Msg::PushReq { key, delta, reply_to, hops: hops.saturating_add(1) };
-            self.send(Addr::server(owner), at, &fwd);
-            return;
-        }
-        // The store borrows the delta: the served fast path applies it in
-        // place, and only the queued path copies. On the not-here path we
-        // still own `delta` and move it into the forward.
-        match self.state.store.server_push(key, &delta, reply_to, hops) {
-            ServerAccess::Served(_) => {
-                let ack = Msg::PushAck { key, hops: hops.saturating_add(1) };
-                self.send(reply_to, at, &ack);
-            }
-            ServerAccess::Queued => {}
-            ServerAccess::Migrated => {
-                if self.replica_push(key, &delta) {
-                    let ack = Msg::PushAck { key, hops: hops.saturating_add(1) };
-                    self.send(reply_to, at, &ack);
-                } else {
-                    let home = self.shared.keyspace.home(key);
-                    let fwd = Msg::PushReq { key, delta, reply_to, hops: hops.saturating_add(1) };
-                    self.send(Addr::server(home), at, &fwd);
-                }
-            }
-            ServerAccess::NotHere(hint) => {
-                let dst = self.chase(key, hint);
-                let fwd = Msg::PushReq { key, delta, reply_to, hops: hops.saturating_add(1) };
-                self.send(Addr::server(dst), at, &fwd);
-            }
-        }
-    }
-
-    /// Batched pull: answer the locally-owned subset in one message, park
-    /// in-flight entries (each answers individually at install), and
-    /// forward the remainder grouped by next hop.
+    /// Pull: at the home node consult the directory first (the entry may
+    /// need forwarding to the current owner), answer the locally-owned
+    /// subset in one message, park in-flight entries (each is answered by
+    /// a one-entry reply at install), serve keys that migrated to
+    /// replication from the local replica, and forward the remainder
+    /// grouped by next hop.
     fn handle_pull_batch(&mut self, keys: Vec<Key>, reply_to: Addr, hops: u8, at: SimTime) {
         let mut fwd: Vec<(NodeId, Vec<Key>)> = Vec::new();
         let mut local = Vec::with_capacity(keys.len());
@@ -264,7 +209,9 @@ impl Server {
         }
     }
 
-    /// Batched push, mirroring [`Server::handle_pull_batch`].
+    /// Push, mirroring [`Server::handle_pull_batch`]. Deltas move through
+    /// unchanged: the store applies the served ones in place and hands the
+    /// rest back for forwarding.
     fn handle_push_batch(
         &mut self,
         updates: Vec<KeyUpdate>,
@@ -384,7 +331,7 @@ impl Server {
             // keyed apply can only miss if the broadcast itself is stale
             // nonsense — conserve it at the home like any stray push.
             if shared.keyspace.home(key) == self.me() {
-                self.handle_push(key, delta, Addr::server(self.me()), 0, at);
+                self.fold_at_home(key, delta, at);
             }
             return;
         };
@@ -407,8 +354,15 @@ impl Server {
         }
         if shared.keyspace.home(key) == self.me() {
             dist.state().acks_outstanding += 1;
-            self.handle_push(key, delta, Addr::server(self.me()), 0, at);
+            self.fold_at_home(key, delta, at);
         }
+    }
+
+    /// Fold a stray sync delta through the regular push path as a
+    /// self-addressed push of one: wherever the key's chain ends, the ack
+    /// comes back to this server's own port ([`Server::handle_self_ack`]).
+    fn fold_at_home(&mut self, key: Key, delta: Vec<f32>, at: SimTime) {
+        self.handle_push_batch(vec![KeyUpdate { key, delta }], Addr::server(self.me()), 0, at);
     }
 
     /// First message of the relocation protocol, handled at the home node:
@@ -474,12 +428,10 @@ impl Server {
         self.journal(at, "transfer_install", key, 0);
         let out = self.state.store.install(key, value);
         for (value, reply_to, hops) in out.pull_replies {
-            let resp = Msg::PullResp { key, value, hops: hops.saturating_add(1) };
-            self.send(reply_to, at, &resp);
+            self.send(reply_to, at, &Msg::pull_reply(key, value, hops));
         }
         for (reply_to, hops) in out.push_acks {
-            let ack = Msg::PushAck { key, hops: hops.saturating_add(1) };
-            self.send(reply_to, at, &ack);
+            self.send(reply_to, at, &Msg::push_reply(key, hops));
         }
         if let Some((node, value)) = out.release {
             self.send(Addr::server(node), at, &Msg::Transfer { key, value });
@@ -630,8 +582,11 @@ impl Server {
                 if let Some(dist) = shared.dist_adaptive.as_ref() {
                     dist.state().acks_outstanding += 1;
                 }
-                let residue =
-                    Msg::PushReq { key, delta: accum, reply_to: Addr::server(self.me()), hops: 0 };
+                let residue = Msg::PushBatchReq {
+                    updates: vec![KeyUpdate { key, delta: accum }],
+                    reply_to: Addr::server(self.me()),
+                    hops: 0,
+                };
                 self.send(Addr::server(home), at, &residue);
             }
         }
@@ -773,12 +728,16 @@ impl Server {
             let sweep = self.state.store.sweep_for_promote(key);
             for op in sweep.waiters {
                 let fwd = match op {
-                    QueuedOp::Push { delta, reply_to, hops } => {
-                        Msg::PushReq { key, delta, reply_to, hops: hops.saturating_add(1) }
-                    }
-                    QueuedOp::Pull { reply_to, hops } => {
-                        Msg::PullReq { key, reply_to, hops: hops.saturating_add(1) }
-                    }
+                    QueuedOp::Push { delta, reply_to, hops } => Msg::PushBatchReq {
+                        updates: vec![KeyUpdate { key, delta }],
+                        reply_to,
+                        hops: hops.saturating_add(1),
+                    },
+                    QueuedOp::Pull { reply_to, hops } => Msg::PullBatchReq {
+                        keys: vec![key],
+                        reply_to,
+                        hops: hops.saturating_add(1),
+                    },
                 };
                 self.send(Addr::server(home), at, &fwd);
             }
@@ -801,15 +760,14 @@ impl Server {
                     let ok = self.state.replicas.push(slot, key, &delta);
                     debug_assert!(ok, "fresh replica slot rejects nothing");
                     self.shared.metrics.node(self.me()).inc(|m| &m.replica_pushes);
-                    self.send(reply_to, at, &Msg::PushAck { key, hops: hops.saturating_add(1) });
+                    self.send(reply_to, at, &Msg::push_reply(key, hops));
                 }
                 QueuedOp::Pull { reply_to, hops } => {
                     let mut value = vec![0.0; self.shared.value_len];
                     let ok = self.state.replicas.pull(slot, key, &mut value);
                     debug_assert!(ok, "fresh replica slot rejects nothing");
                     self.shared.metrics.node(self.me()).inc(|m| &m.replica_pulls);
-                    let resp = Msg::PullResp { key, value, hops: hops.saturating_add(1) };
-                    self.send(reply_to, at, &resp);
+                    self.send(reply_to, at, &Msg::pull_reply(key, value, hops));
                 }
             }
         }
@@ -847,20 +805,20 @@ impl Server {
         }
     }
 
-    /// A `PushAck` for a push this server itself issued (demotion residue
-    /// or home-folded stray delta): one less outstanding acknowledgement.
-    fn handle_self_ack(&mut self, at: SimTime) {
+    /// A `PushBatchAck` for pushes this server itself issued (demotion
+    /// residues or home-folded stray deltas, one key each): `acked` fewer
+    /// outstanding acknowledgements. Without adaptive state this server
+    /// issued no such push, so the ack is a stray frame.
+    fn handle_self_ack(&mut self, acked: usize, at: SimTime) -> Handled {
         let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "push ack at a server without distributed adaptive state");
-            return;
-        };
+        let Some(dist) = shared.dist_adaptive.as_ref() else { return Handled::Unexpected };
         {
             let mut st = dist.state();
-            debug_assert!(st.acks_outstanding > 0, "unsolicited push ack at server port");
-            st.acks_outstanding = st.acks_outstanding.saturating_sub(1);
+            debug_assert!(st.acks_outstanding >= acked, "unsolicited push ack at server port");
+            st.acks_outstanding = st.acks_outstanding.saturating_sub(acked);
         }
         self.maybe_plan_ack(at);
         self.shared.runtime.notify_progress();
+        Handled::Continue
     }
 }

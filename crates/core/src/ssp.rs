@@ -45,7 +45,7 @@ use crate::key::{Key, KeySpace};
 use crate::messages::{KeyUpdate, Msg};
 use crate::runtime::{build_runtime, Backend, Fabric, Port, Runtime, RuntimeClock, SimFabric};
 use crate::sampling::{ConformityLevel, DistId, Distribution, DistributionKind, SampleHandle};
-use crate::store::{ServerAccess, Store};
+use crate::store::Store;
 use crate::value::add_assign;
 
 /// Which replica-maintenance protocol to run.
@@ -300,23 +300,23 @@ fn run_ssp_server(shared: Arc<SspShared>, me: NodeId, endpoint: Box<dyn Port>) {
             Err(_) => continue,
         };
         match msg {
-            Msg::SspPullReq { key, reply_to } => match state.store.server_pull(key, reply_to, 1) {
-                ServerAccess::Served(Some(value)) => {
+            // SSP keys never relocate: every key stays local at its home.
+            Msg::SspPullReq { key, reply_to } => match state.store.get(key) {
+                Some(value) => {
                     endpoint.send(
                         reply_to,
                         frame.sent_at,
                         Msg::SspPullResp { key, value }.to_bytes(),
                     );
                 }
-                _ => debug_assert!(false, "SSP key {key} not at home {me}"),
+                None => debug_assert!(false, "SSP key {key} not at home {me}"),
             },
             Msg::SspFlush { from, updates } => {
-                // Apply, then (ESSP) propagate to subscribers.
+                // (ESSP) copy fresh deltas out for subscribers, then apply.
                 let mut per_subscriber: FxHashMap<NodeId, Vec<KeyUpdate>> = FxHashMap::default();
-                for u in updates {
-                    let _ = state.store.server_push(u.key, &u.delta, Addr::server(me), 1);
-                    if shared.cfg.protocol == SspProtocol::Essp {
-                        let subs = state.subscribers.lock();
+                if shared.cfg.protocol == SspProtocol::Essp {
+                    let subs = state.subscribers.lock();
+                    for u in &updates {
                         if let Some(nodes) = subs.get(&u.key) {
                             for &n in nodes {
                                 if n != from {
@@ -326,6 +326,7 @@ fn run_ssp_server(shared: Arc<SspShared>, me: NodeId, endpoint: Box<dyn Port>) {
                         }
                     }
                 }
+                let _ = state.store.server_push_batch(updates, Addr::server(me), 1);
                 for (dst, updates) in per_subscriber {
                     let msg = Msg::SspBroadcast { updates };
                     let bytes = msg.encoded_len();

@@ -22,6 +22,11 @@
 //! protocol never routes an operation to a node without an entry (a
 //! defensive fallback re-routes via the home node anyway).
 //!
+//! Server-side access has one shape: [`Store::server_pull_batch`] and
+//! [`Store::server_push_batch`] resolve a request's entries in one pass
+//! (each shard latch taken once) and partition them into served, queued,
+//! not-here and migrated; a single-key operation is a batch of one.
+//!
 //! The paper stresses that NuPS folds the technique check and the locality
 //! check into a single latch acquisition (Section 3.2): here the technique
 //! check is a lock-free array read and locality is resolved under exactly
@@ -88,24 +93,10 @@ pub enum LocalAccess<R> {
     Remote(Option<NodeId>),
 }
 
-/// Outcome of a server-side operation on this store.
-pub enum ServerAccess {
-    /// Served: for pulls the value copy, for pushes `None`.
-    Served(Option<Vec<f32>>),
-    /// Queued on an in-flight entry; a reply will be generated at install.
-    Queued,
-    /// Not owned here; chase the forwarding chain (`Some`) or fall back to
-    /// the home node (`None`).
-    NotHere(Option<NodeId>),
-    /// The key migrated to replication management: serve the operation
-    /// from the local replica set instead.
-    Migrated,
-}
-
-/// Per-entry partition of a batched server-side pull: the locally served
-/// subset (answered in one message), the count parked on in-flight entries
-/// (answered individually at install time), and the not-here remainder the
-/// server forwards along the ownership chain.
+/// Per-entry partition of a server-side pull: the locally served subset
+/// (answered in one message), the count parked on in-flight entries (each
+/// answered by a one-entry reply at install time), and the not-here
+/// remainder the server forwards along the ownership chain.
 #[derive(Debug, Default)]
 pub struct PullBatchOutcome {
     /// `(key, value copy)` per served occurrence, in request order.
@@ -119,7 +110,7 @@ pub struct PullBatchOutcome {
     pub migrated: Vec<Key>,
 }
 
-/// Per-entry partition of a batched server-side push.
+/// Per-entry partition of a server-side push.
 #[derive(Debug, Default)]
 pub struct PushBatchOutcome {
     /// Keys whose delta was applied locally, in request order.
@@ -312,41 +303,6 @@ impl Store {
         }
     }
 
-    /// Server-side pull.
-    pub fn server_pull(&self, key: Key, reply_to: Addr, hops: u8) -> ServerAccess {
-        let mut map = self.shard(key).map.lock();
-        match map.get_mut(&key) {
-            Some(Entry::Local { value, .. }) => ServerAccess::Served(Some(value.clone())),
-            Some(Entry::InFlightIn { waiters, .. }) => {
-                waiters.push(QueuedOp::Pull { reply_to, hops });
-                ServerAccess::Queued
-            }
-            Some(Entry::ForwardedTo(n)) => ServerAccess::NotHere(Some(*n)),
-            Some(Entry::Promoted) => ServerAccess::Migrated,
-            None => ServerAccess::NotHere(None),
-        }
-    }
-
-    /// Server-side push (additive delta). Borrows the delta so the served
-    /// fast path copies nothing; ownership is only taken when the entry is
-    /// in flight and the delta must be parked until install.
-    pub fn server_push(&self, key: Key, delta: &[f32], reply_to: Addr, hops: u8) -> ServerAccess {
-        let mut map = self.shard(key).map.lock();
-        match map.get_mut(&key) {
-            Some(Entry::Local { value, .. }) => {
-                add_assign(value, delta);
-                ServerAccess::Served(None)
-            }
-            Some(Entry::InFlightIn { waiters, .. }) => {
-                waiters.push(QueuedOp::Push { delta: delta.to_vec(), reply_to, hops });
-                ServerAccess::Queued
-            }
-            Some(Entry::ForwardedTo(n)) => ServerAccess::NotHere(Some(*n)),
-            Some(Entry::Promoted) => ServerAccess::Migrated,
-            None => ServerAccess::NotHere(None),
-        }
-    }
-
     /// Resolve a batch of keys in one pass: positions are grouped by shard
     /// so each shard latch is taken once for all of its keys instead of
     /// once per key. `f` runs under the owning shard's latch; results come
@@ -375,9 +331,10 @@ impl Store {
         results
     }
 
-    /// Batched server-side pull: serve the locally-owned subset under one
-    /// pass, queue entries on in-flight keys, and report the not-here
-    /// remainder for forwarding. Outcomes are in request order.
+    /// Server-side pull (the only one: a single key is a batch of one).
+    /// Serve the locally-owned subset under one pass, queue entries on
+    /// in-flight keys, and report the not-here remainder for forwarding.
+    /// Outcomes are in request order.
     pub fn server_pull_batch(&self, keys: &[Key], reply_to: Addr, hops: u8) -> PullBatchOutcome {
         let mut out = PullBatchOutcome::default();
         let slots = self.resolve_batch(keys, |map, key, _| match map.get_mut(&key) {
@@ -403,9 +360,10 @@ impl Store {
         out
     }
 
-    /// Batched server-side push; same one-pass sharding as
-    /// [`Store::server_pull_batch`]. Deltas are copied only for queued
-    /// entries; forwarded entries move out of `updates` unchanged.
+    /// Server-side push of additive deltas; same one-pass sharding as
+    /// [`Store::server_pull_batch`]. The served path applies each delta in
+    /// place; deltas are copied only for queued entries, and forwarded
+    /// entries move out of `updates` unchanged.
     pub fn server_push_batch(
         &self,
         updates: Vec<KeyUpdate>,
@@ -653,6 +611,15 @@ mod tests {
         Addr::worker(NodeId(n), 0)
     }
 
+    /// A one-key server pull: the batch of one every scalar access is.
+    fn pull1(s: &Store, key: Key, reply_to: Addr) -> PullBatchOutcome {
+        s.server_pull_batch(&[key], reply_to, 2)
+    }
+
+    fn push1(s: &Store, key: Key, delta: f32, reply_to: Addr) -> PushBatchOutcome {
+        s.server_push_batch(vec![KeyUpdate { key, delta: vec![delta] }], reply_to, 2)
+    }
+
     #[test]
     fn seed_and_local_access() {
         let s = Store::new(4);
@@ -679,13 +646,13 @@ mod tests {
         assert!(s.mark_inflight(1, SimTime(500)));
         assert!(!s.mark_inflight(1, SimTime(900)), "double mark must no-op");
         // Remote push then pull queue up.
-        assert!(matches!(s.server_push(1, &[10.0], addr(2), 2), ServerAccess::Queued));
-        assert!(matches!(s.server_pull(1, addr(3), 2), ServerAccess::Queued));
+        assert_eq!(push1(&s, 1, 10.0, addr(2)).queued, 1);
+        assert_eq!(pull1(&s, 1, addr(3)).queued, 1);
         let out = s.install(1, vec![1.0]);
-        // Push applied before the later pull sees the value.
-        assert_eq!(out.push_acks.len(), 1);
-        assert_eq!(out.pull_replies.len(), 1);
-        assert_eq!(out.pull_replies[0].0, vec![11.0]);
+        // Push applied before the later pull sees the value; each waiter
+        // is answered at the address and hop count it arrived with.
+        assert_eq!(out.push_acks, vec![(addr(2), 2)]);
+        assert_eq!(out.pull_replies, vec![(vec![11.0], addr(3), 2)]);
         assert!(out.release.is_none());
         assert_eq!(s.get(1), Some(vec![11.0]));
         // The installed entry reports the transfer's expected completion.
@@ -699,8 +666,8 @@ mod tests {
     fn pull_before_push_sees_old_value() {
         let s = Store::new(4);
         s.mark_inflight(1, SimTime(0));
-        assert!(matches!(s.server_pull(1, addr(3), 2), ServerAccess::Queued));
-        assert!(matches!(s.server_push(1, &[5.0], addr(2), 2), ServerAccess::Queued));
+        assert_eq!(pull1(&s, 1, addr(3)).queued, 1);
+        assert_eq!(push1(&s, 1, 5.0, addr(2)).queued, 1);
         let out = s.install(1, vec![1.0]);
         assert_eq!(out.pull_replies[0].0, vec![1.0], "queued pull precedes queued push");
         assert_eq!(s.get(1), Some(vec![6.0]));
@@ -720,7 +687,8 @@ mod tests {
             _ => panic!("expected tombstone"),
         }
         // Ops now chase the tombstone.
-        assert!(matches!(s.server_pull(1, addr(0), 2), ServerAccess::NotHere(Some(NodeId(5)))));
+        assert_eq!(pull1(&s, 1, addr(0)).not_here, vec![(1, Some(NodeId(5)))]);
+        assert_eq!(push1(&s, 1, 1.0, addr(0)).not_here[0].1, Some(NodeId(5)));
     }
 
     #[test]
@@ -864,15 +832,18 @@ mod tests {
         assert!(!s.is_local(1));
         // Server ops now report the migration so they are served from the
         // replica set; relocation stragglers are void.
-        assert!(matches!(s.server_pull(1, addr(0), 2), ServerAccess::Migrated));
-        assert!(matches!(s.server_push(1, &[1.0], addr(0), 2), ServerAccess::Migrated));
+        assert_eq!(pull1(&s, 1, addr(0)).migrated, vec![1]);
+        assert_eq!(
+            push1(&s, 1, 1.0, addr(0)).migrated,
+            vec![KeyUpdate { key: 1, delta: vec![1.0] }]
+        );
         assert!(matches!(s.take_for_transfer(1, NodeId(5)), TakeOutcome::Promoted));
         // A localize must not clobber the tombstone.
         assert!(!s.mark_inflight(1, SimTime(5)));
         // Nor may a stale duplicate transfer resurrect local ownership.
         let out = s.install(1, vec![9.0]);
         assert!(out.pull_replies.is_empty() && out.release.is_none());
-        assert!(matches!(s.server_pull(1, addr(0), 2), ServerAccess::Migrated));
+        assert_eq!(pull1(&s, 1, addr(0)).migrated, vec![1]);
     }
 
     #[test]
@@ -909,10 +880,14 @@ mod tests {
     fn sweep_for_promote_returns_parked_ops() {
         let s = Store::new(4);
         s.mark_inflight(1, SimTime(10));
-        s.server_push(1, &[4.0], addr(2), 2);
+        assert_eq!(push1(&s, 1, 4.0, addr(2)).queued, 1);
         let sw = s.sweep_for_promote(1);
         assert!(sw.removed_inflight);
-        assert_eq!(sw.waiters.len(), 1, "parked push handed to the promoter");
+        assert_eq!(
+            sw.waiters,
+            vec![QueuedOp::Push { delta: vec![4.0], reply_to: addr(2), hops: 2 }],
+            "parked push handed to the promoter"
+        );
     }
 
     #[test]

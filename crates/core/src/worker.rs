@@ -11,13 +11,15 @@
 //!   wait);
 //! * relocated key, elsewhere → a synchronous remote round trip.
 //!
-//! Multi-key access is *batched*: `pull_many`/`push_many` resolve the
-//! shared-memory subset per key and coalesce the remote remainder into one
-//! request per destination node ([`Msg::PullBatchReq`]/
-//! [`Msg::PushBatchReq`]), so a skewed minibatch pays one round trip per
-//! node instead of one per key, and per-message framing amortizes across
-//! the batch entries. `localize` likewise coalesces its relocation intents
-//! into one [`Msg::LocalizeBatchReq`] per home node.
+//! There is one access path, and it is *batched*: `pull`/`push` are
+//! `pull_many`/`push_many` of one key. They resolve the shared-memory
+//! subset per key — allocating nothing while every key is local — and
+//! coalesce the remote remainder into one request per destination node
+//! ([`Msg::PullBatchReq`]/[`Msg::PushBatchReq`]), so a skewed minibatch
+//! pays one round trip per node instead of one per key, and per-message
+//! framing amortizes across the batch entries. `localize` likewise
+//! coalesces its relocation intents into one [`Msg::LocalizeBatchReq`] per
+//! home node.
 //!
 //! All remote waiting is charged to the worker's runtime clock through the
 //! [`crate::runtime::Pricing`] hooks, scaled by the congestion multiplier
@@ -129,15 +131,6 @@ impl NupsWorker {
         self.clock.advance(c);
     }
 
-    fn charge_remote(&mut self, request_bytes: usize, response_bytes: usize, hops: u8) {
-        // `hops` counts all messages in the chain including the response;
-        // intermediate forwards carry the request payload.
-        let hops = hops.max(2) as u64;
-        let cost = self.pricing().message(request_bytes) * (hops - 1)
-            + self.pricing().message(response_bytes);
-        self.clock.advance(cost * self.congestion());
-    }
-
     /// Price the tail of a remote chain whose request was already charged
     /// at send time: the response message plus any intermediate forwards
     /// its hop count records (`hops` counts every message in the chain,
@@ -181,24 +174,6 @@ impl NupsWorker {
         self.clock.now() + d * self.congestion()
     }
 
-    /// Send a request and block for its reply, pricing the round trip.
-    fn remote_roundtrip(&mut self, dst: NodeId, msg: &Msg) -> Msg {
-        let request_bytes = msg.encoded_len();
-        self.endpoint.send(Addr::server(dst), self.clock.now(), msg.to_bytes());
-        let frame = self.endpoint.recv().expect("server disappeared during round trip");
-        // Price the encoded payload; `CostModel::message` adds the framing
-        // overhead itself.
-        let response_bytes = frame.payload.len();
-        let mut payload = frame.payload;
-        let resp = Msg::decode(&mut payload).expect("undecodable reply");
-        let hops = match &resp {
-            Msg::PullResp { hops, .. } | Msg::PushAck { hops, .. } => *hops,
-            other => panic!("unexpected reply to worker: {other:?}"),
-        };
-        self.charge_remote(request_bytes, response_bytes, hops);
-        resp
-    }
-
     /// Serve one replicated-key pull from the node's replica set (the
     /// slot comes from the same [`KeyRoute`] lookup as the technique
     /// check — one lock acquisition per access). `false` when the slot no
@@ -235,8 +210,7 @@ impl NupsWorker {
     /// copy and counting `counter` — or return the destination a remote
     /// request should go to. When the access blocked, the charge uses the
     /// *installed* entry's stamp, not the one seen before blocking: the
-    /// key may have been re-relocated while this worker waited. Both the
-    /// single-key and the batched paths price local access through here.
+    /// key may have been re-relocated while this worker waited.
     fn relocated_local_or_dst(
         &mut self,
         key: Key,
@@ -257,51 +231,6 @@ impl NupsWorker {
         self.charge_install_wait(served_at);
         self.charge_shared_memory();
         None
-    }
-
-    fn pull_relocated(&mut self, key: Key, out: &mut [f32]) {
-        if let Some(dst) =
-            self.relocated_local_or_dst(key, |m| &m.local_pulls, |v| out.copy_from_slice(v))
-        {
-            self.remote_pull(key, out, Some(dst));
-        }
-    }
-
-    fn remote_pull(&mut self, key: Key, out: &mut [f32], hint: Option<NodeId>) {
-        self.metrics().inc(|m| &m.remote_pulls);
-        let dst = hint.unwrap_or_else(|| self.shared.keyspace.home(key));
-        let req =
-            Msg::PullReq { key, reply_to: Addr::worker(self.id.node, self.id.local), hops: 1 };
-        match self.remote_roundtrip(dst, &req) {
-            Msg::PullResp { key: k, value, .. } => {
-                debug_assert_eq!(k, key);
-                out.copy_from_slice(&value);
-            }
-            other => panic!("expected PullResp, got {other:?}"),
-        }
-    }
-
-    fn push_relocated(&mut self, key: Key, delta: &[f32]) {
-        if let Some(dst) =
-            self.relocated_local_or_dst(key, |m| &m.local_pushes, |v| add_assign(v, delta))
-        {
-            self.remote_push(key, delta, Some(dst));
-        }
-    }
-
-    fn remote_push(&mut self, key: Key, delta: &[f32], hint: Option<NodeId>) {
-        self.metrics().inc(|m| &m.remote_pushes);
-        let dst = hint.unwrap_or_else(|| self.shared.keyspace.home(key));
-        let req = Msg::PushReq {
-            key,
-            delta: delta.to_vec(),
-            reply_to: Addr::worker(self.id.node, self.id.local),
-            hops: 1,
-        };
-        match self.remote_roundtrip(dst, &req) {
-            Msg::PushAck { key: k, .. } => debug_assert_eq!(k, key),
-            other => panic!("expected PushAck, got {other:?}"),
-        }
     }
 
     /// Whether a sampled key can be served without the network right now.
@@ -359,9 +288,10 @@ impl NupsWorker {
         keys.into_iter().zip(flat.chunks_exact(vl).map(|c| c.to_vec())).collect()
     }
 
-    /// Multi-key pull: serve what shared memory can, then issue one
-    /// batched request per remote destination and collect the (possibly
-    /// split) replies.
+    /// Pull `keys`: serve what shared memory can, then issue one request
+    /// per remote destination and collect the (possibly split) replies.
+    /// The grouping vectors and reply maps are built only once a key turns
+    /// out to be remote, so an all-local call allocates nothing.
     fn pull_many_batched(&mut self, keys: &[Key], out: &mut [f32]) {
         let vl = self.shared.value_len;
         debug_assert_eq!(out.len(), keys.len() * vl);
@@ -375,6 +305,8 @@ impl NupsWorker {
                         if self.pull_replicated(r, key, slot) {
                             break;
                         }
+                        // Demotion in progress on the server thread; the
+                        // route flips within the same plan step.
                         std::thread::yield_now();
                     }
                     KeyRoute::Relocated => {
@@ -394,11 +326,10 @@ impl NupsWorker {
             return;
         }
 
-        // One request per destination — a singleton group rides the
-        // compact single-key message. Repeated keys within a destination
+        // One request per destination. Repeated keys within a destination
         // ride the wire (and are priced) once: the single reply fans out
         // to every requesting position. Replies may arrive split (the
-        // served subset batched, parked entries individually at install).
+        // served subset together, each parked entry on its own at install).
         let reply_to = Addr::worker(self.id.node, self.id.local);
         // One position group per *wire entry*; a key racing a relocation
         // can land in two destination groups, so groups queue per key.
@@ -426,10 +357,7 @@ impl NupsWorker {
             m.add(|m| &m.remote_pulls, n_occurrences);
             m.inc(|m| &m.batch_pull_msgs);
             m.add(|m| &m.batch_pull_keys, group_keys.len() as u64);
-            let req = match group_keys.as_slice() {
-                [key] => Msg::PullReq { key: *key, reply_to, hops: 1 },
-                _ => Msg::PullBatchReq { keys: group_keys, reply_to, hops: 1 },
-            };
+            let req = Msg::PullBatchReq { keys: group_keys, reply_to, hops: 1 };
             let send_cost = self.pricing().message(req.encoded_len());
             self.endpoint.send(Addr::server(dst), self.clock.now(), req.to_bytes());
             self.clock.advance(send_cost * self.congestion());
@@ -438,39 +366,25 @@ impl NupsWorker {
             let frame = self.endpoint.recv().expect("server disappeared during batched pull");
             let response_bytes = frame.payload.len();
             let mut payload = frame.payload;
-            let mut fill =
-                |pending: &mut FxHashMap<Key, VecDeque<Vec<usize>>>, key, value: &[f32]| {
-                    let group = pending
-                        .get_mut(&key)
-                        .and_then(|q| q.pop_front())
-                        .unwrap_or_else(|| panic!("reply for unrequested key {key}"));
-                    for i in group {
-                        out[i * vl..(i + 1) * vl].copy_from_slice(value);
-                    }
-                };
-            match Msg::decode(&mut payload).expect("undecodable reply") {
-                Msg::PullBatchResp { values, hops } => {
-                    self.charge_chain_tail(
-                        Msg::pull_batch_req_len(values.len()),
-                        response_bytes,
-                        hops,
-                    );
-                    for KeyUpdate { key, delta } in values {
-                        fill(&mut pending, key, &delta);
-                        outstanding -= 1;
-                    }
+            let (values, hops) = match Msg::decode(&mut payload).expect("undecodable reply") {
+                Msg::PullBatchResp { values, hops } => (values, hops),
+                other => panic!("unexpected reply to pull: {other:?}"),
+            };
+            self.charge_chain_tail(Msg::pull_batch_req_len(values.len()), response_bytes, hops);
+            for KeyUpdate { key, delta } in values {
+                let group = pending
+                    .get_mut(&key)
+                    .and_then(|q| q.pop_front())
+                    .unwrap_or_else(|| panic!("reply for unrequested key {key}"));
+                for i in group {
+                    out[i * vl..(i + 1) * vl].copy_from_slice(&delta);
                 }
-                Msg::PullResp { key, value, hops } => {
-                    self.charge_chain_tail(Msg::pull_req_len(), response_bytes, hops);
-                    fill(&mut pending, key, &value);
-                    outstanding -= 1;
-                }
-                other => panic!("unexpected reply to batched pull: {other:?}"),
+                outstanding -= 1;
             }
         }
     }
 
-    /// Multi-key push, batched like [`NupsWorker::pull_many_batched`].
+    /// Push `keys`, grouped like [`NupsWorker::pull_many_batched`].
     fn push_many_batched(&mut self, keys: &[Key], deltas: &[f32]) {
         let vl = self.shared.value_len;
         debug_assert_eq!(deltas.len(), keys.len() * vl);
@@ -532,46 +446,27 @@ impl NupsWorker {
             m.add(|m| &m.remote_pushes, n_occurrences);
             m.inc(|m| &m.batch_push_msgs);
             m.add(|m| &m.batch_push_keys, updates.len() as u64);
-            let req = match updates.len() {
-                1 => {
-                    let KeyUpdate { key, delta } = updates.pop().expect("one update");
-                    Msg::PushReq { key, delta, reply_to, hops: 1 }
-                }
-                _ => Msg::PushBatchReq { updates, reply_to, hops: 1 },
-            };
+            let req = Msg::PushBatchReq { updates, reply_to, hops: 1 };
             let send_cost = self.pricing().message(req.encoded_len());
             self.endpoint.send(Addr::server(dst), self.clock.now(), req.to_bytes());
             self.clock.advance(send_cost * self.congestion());
         }
-        let settle = |pending: &mut FxHashMap<Key, usize>, key: Key| {
-            let left = pending
-                .get_mut(&key)
-                .filter(|c| **c > 0)
-                .unwrap_or_else(|| panic!("ack for unrequested key {key}"));
-            *left -= 1;
-        };
         while outstanding > 0 {
             let frame = self.endpoint.recv().expect("server disappeared during batched push");
             let response_bytes = frame.payload.len();
             let mut payload = frame.payload;
-            match Msg::decode(&mut payload).expect("undecodable reply") {
-                Msg::PushBatchAck { keys: acked, hops } => {
-                    self.charge_chain_tail(
-                        Msg::push_batch_req_len(acked.len(), vl),
-                        response_bytes,
-                        hops,
-                    );
-                    for key in acked {
-                        settle(&mut pending, key);
-                        outstanding -= 1;
-                    }
-                }
-                Msg::PushAck { key, hops } => {
-                    self.charge_chain_tail(Msg::push_req_len(vl), response_bytes, hops);
-                    settle(&mut pending, key);
-                    outstanding -= 1;
-                }
-                other => panic!("unexpected reply to batched push: {other:?}"),
+            let (acked, hops) = match Msg::decode(&mut payload).expect("undecodable reply") {
+                Msg::PushBatchAck { keys, hops } => (keys, hops),
+                other => panic!("unexpected reply to push: {other:?}"),
+            };
+            self.charge_chain_tail(Msg::push_batch_req_len(acked.len(), vl), response_bytes, hops);
+            for key in acked {
+                let left = pending
+                    .get_mut(&key)
+                    .filter(|c| **c > 0)
+                    .unwrap_or_else(|| panic!("ack for unrequested key {key}"));
+                *left -= 1;
+                outstanding -= 1;
             }
         }
     }
@@ -583,74 +478,30 @@ impl PsWorker for NupsWorker {
     }
 
     fn pull(&mut self, key: Key, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.shared.value_len);
-        let wall = std::time::Instant::now();
-        self.shared.record_access(key);
-        loop {
-            match self.shared.technique.route(key) {
-                KeyRoute::Replicated(slot) => {
-                    if self.pull_replicated(slot, key, out) {
-                        break;
-                    }
-                    // Demotion in progress on the server thread; the route
-                    // flips within the same plan step.
-                    std::thread::yield_now();
-                }
-                KeyRoute::Relocated => {
-                    self.pull_relocated(key, out);
-                    break;
-                }
-            }
-        }
-        self.shared.obs.hists.pull.record(wall.elapsed().as_nanos() as u64);
+        self.pull_many(&[key], out);
     }
 
     fn push(&mut self, key: Key, delta: &[f32]) {
-        debug_assert_eq!(delta.len(), self.shared.value_len);
-        let wall = std::time::Instant::now();
-        self.shared.record_access(key);
-        loop {
-            match self.shared.technique.route(key) {
-                KeyRoute::Replicated(slot) => {
-                    if self.push_replicated(slot, key, delta) {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                KeyRoute::Relocated => {
-                    self.push_relocated(key, delta);
-                    break;
-                }
-            }
-        }
-        self.shared.obs.hists.push.record(wall.elapsed().as_nanos() as u64);
+        self.push_many(&[key], delta);
     }
 
     fn pull_many(&mut self, keys: &[Key], out: &mut [f32]) {
-        match keys {
-            [] => {}
-            // A single key takes the scalar path: smaller wire message, no
-            // grouping overhead.
-            [key] => self.pull(*key, out),
-            _ => {
-                // One histogram sample per batched op, like the scalar path.
-                let wall = std::time::Instant::now();
-                self.pull_many_batched(keys, out);
-                self.shared.obs.hists.pull.record(wall.elapsed().as_nanos() as u64);
-            }
+        if keys.is_empty() {
+            return;
         }
+        // One histogram sample per operation, whatever its key count.
+        let wall = std::time::Instant::now();
+        self.pull_many_batched(keys, out);
+        self.shared.obs.hists.pull.record(wall.elapsed().as_nanos() as u64);
     }
 
     fn push_many(&mut self, keys: &[Key], deltas: &[f32]) {
-        match keys {
-            [] => {}
-            [key] => self.push(*key, deltas),
-            _ => {
-                let wall = std::time::Instant::now();
-                self.push_many_batched(keys, deltas);
-                self.shared.obs.hists.push.record(wall.elapsed().as_nanos() as u64);
-            }
+        if keys.is_empty() {
+            return;
         }
+        let wall = std::time::Instant::now();
+        self.push_many_batched(keys, deltas);
+        self.shared.obs.hists.push.record(wall.elapsed().as_nanos() as u64);
     }
 
     fn localize(&mut self, keys: &[Key]) {
@@ -672,10 +523,7 @@ impl PsWorker for NupsWorker {
         }
         for (home, group) in groups {
             let n = group.len() as u64;
-            let msg = match group.as_slice() {
-                [key] => Msg::LocalizeReq { key: *key, requester: self.id.node },
-                _ => Msg::LocalizeBatchReq { keys: group, requester: self.id.node },
-            };
+            let msg = Msg::LocalizeBatchReq { keys: group, requester: self.id.node };
             self.endpoint.send(Addr::server(home), self.clock.now(), msg.to_bytes());
             let m = self.metrics();
             m.inc(|m| &m.localize_msgs);

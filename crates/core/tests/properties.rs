@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use nups_core::key::KeySpace;
+use nups_core::messages::KeyUpdate;
 use nups_core::sampling::reuse::PoolSequence;
-use nups_core::store::{LocalAccess, ServerAccess, Store, TakeOutcome};
+use nups_core::store::{LocalAccess, Store, TakeOutcome};
 use nups_core::technique::{heuristic_replicated_keys, top_k_by_frequency, TechniqueMap};
 use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId};
@@ -87,18 +88,18 @@ proptest! {
                     }
                 }
                 Op::RemotePush(k, d) => {
-                    let r = store.server_push(
-                        k as u64,
-                        &[d as f32],
-                        Addr::server(NodeId(9)),
-                        1,
-                    );
-                    match (&mut model[k as usize], r) {
-                        (ModelState::Local(x), ServerAccess::Served(None)) => *x += d as f64,
-                        (ModelState::Inflight(q, _), ServerAccess::Queued) => *q += d as f64,
-                        (ModelState::Absent, ServerAccess::NotHere(None)) => {}
-                        (ModelState::Forwarded, ServerAccess::NotHere(Some(_))) => {}
-                        (m, _) => prop_assert!(false, "state mismatch for RemotePush: {m:?}"),
+                    // A remote push is a batch of one: exactly one of the
+                    // outcome's partitions holds the entry.
+                    let update = KeyUpdate { key: k as u64, delta: vec![d as f32] };
+                    let r = store.server_push_batch(vec![update], Addr::server(NodeId(9)), 1);
+                    let hint = r.not_here.first().map(|(_, hint)| *hint);
+                    let parts = (r.served.len(), r.queued, r.not_here.len(), r.migrated.len());
+                    match (&mut model[k as usize], parts, hint) {
+                        (ModelState::Local(x), (1, 0, 0, 0), None) => *x += d as f64,
+                        (ModelState::Inflight(q, _), (0, 1, 0, 0), None) => *q += d as f64,
+                        (ModelState::Absent, (0, 0, 1, 0), Some(None)) => {}
+                        (ModelState::Forwarded, (0, 0, 1, 0), Some(Some(_))) => {}
+                        (m, ..) => prop_assert!(false, "state mismatch for RemotePush: {m:?}"),
                     }
                 }
                 Op::TakeForTransfer(k, n) => {

@@ -14,6 +14,10 @@
 //! shared memory) and are not counted as network traffic, mirroring the
 //! simulated fabric's accounting.
 //!
+//! Bytes off a socket never take the node down: a frame for a port nobody
+//! could bind, or a stream that stops parsing as frames, is journaled as a
+//! `bad_frame` event and dropped (the latter together with its link).
+//!
 //! Shutdown is cooperative and total: closing the fabric closes the send
 //! queues (writers drain what was already queued, then the sockets close),
 //! unblocks every reader, and marks every inbox closed so blocked
@@ -35,9 +39,9 @@ use nups_sim::metrics::{ClusterMetrics, Metrics};
 use nups_sim::net::Frame;
 use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId, Topology};
-use nups_sim::trace::Observability;
+use nups_sim::trace::{actor, Observability};
 
-use crate::frame::{read_frame_pooled, write_batch, ReadError};
+use crate::frame::{read_frame_pooled, write_batch, FrameError, ReadError};
 use crate::pool::BufferPool;
 
 /// Reserved port for fabric-internal control frames (the bootstrap
@@ -322,8 +326,36 @@ impl FabricInner {
         }
         match self.inboxes.get(frame.dst.port as usize) {
             Some(inbox) => inbox.push(frame),
-            None => debug_assert!(false, "frame for unknown port {}", frame.dst),
+            None => self.journal_misaddressed(&frame),
         }
+    }
+
+    /// Journal a well-formed frame nothing here can take (a port outside
+    /// the topology, or another node's address) as it is dropped.
+    fn journal_misaddressed(&self, frame: &Frame) {
+        self.obs.event(
+            frame.sent_at,
+            self.node.0,
+            actor::FABRIC,
+            "bad_frame",
+            frame.dst.port as u64,
+            frame.payload.len() as u64,
+        );
+    }
+
+    /// Journal the framing violation that is about to cost an inbound link
+    /// its connection: which rule broke, and the offending header field.
+    /// `at` is the link's last good send stamp — the stream carries no
+    /// trustworthy time of its own any more.
+    fn journal_frame_error(&self, at: SimTime, e: &FrameError) {
+        let (rule, field) = match *e {
+            FrameError::BadMagic(magic) => (1, magic as u64),
+            FrameError::UnsupportedVersion(v) => (2, v as u64),
+            FrameError::ReservedBitsSet(bits) => (3, bits as u64),
+            FrameError::PayloadTooLarge { len, .. } => (4, len as u64),
+            FrameError::ChecksumMismatch { actual, .. } => (5, actual as u64),
+        };
+        self.obs.event(at, self.node.0, actor::FABRIC, "bad_frame", rule, field);
     }
 
     fn note_barrier(&self) {
@@ -531,18 +563,18 @@ impl TcpFabric {
                 std::thread::Builder::new().name(format!("nups-net-rx-{node}")).spawn(move || {
                     let m = reader_inner.metrics.node(reader_inner.node);
                     let mut r = BufReader::with_capacity(READ_BUF_BYTES, reader_stream);
+                    let mut last_at = SimTime::ZERO;
                     loop {
                         let mut scratch = pooled_scratch(&reader_inner.pool, m);
                         let res = read_frame_pooled(&mut r, &mut scratch);
                         reader_inner.pool.put(scratch);
                         match res {
                             Ok(frame) => {
-                                debug_assert_eq!(
-                                    frame.dst.node, reader_inner.node,
-                                    "peer routed a frame to the wrong node"
-                                );
+                                last_at = frame.sent_at;
                                 if frame.dst.node == reader_inner.node {
                                     reader_inner.deliver_local(frame);
+                                } else {
+                                    reader_inner.journal_misaddressed(&frame);
                                 }
                             }
                             // Clean close or socket teardown: the link is
@@ -556,7 +588,7 @@ impl TcpFabric {
                                     "[nups-net {}] dropping inbound link: {e}",
                                     reader_inner.node
                                 );
-                                debug_assert!(false, "bad frame from peer: {e}");
+                                reader_inner.journal_frame_error(last_at, &e);
                                 break;
                             }
                         }
@@ -744,5 +776,65 @@ mod tests {
         );
         a.join().expect("sender a");
         b.join().expect("sender b");
+    }
+
+    /// Hostile bytes on an inbound link: frames nothing here can take are
+    /// journaled and dropped with the link intact, and a stream that stops
+    /// parsing as frames costs only that link — in debug builds too.
+    #[test]
+    fn bad_inbound_frames_are_journaled_and_leave_the_node_up() {
+        use crate::frame::encode_frame;
+        use std::io::Write;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (inbound, _) = listener.accept().expect("accept");
+
+        let obs = Arc::new(Observability::new());
+        let fabric = TcpFabric::assemble(
+            NodeId(0),
+            Topology::new(2, 1),
+            Arc::new(ClusterMetrics::new(2)),
+            Arc::clone(&obs),
+            Vec::new(),
+            vec![inbound],
+            Duration::from_millis(100),
+        )
+        .expect("assemble");
+        let port = fabric.bind(Addr::server(NodeId(0)));
+
+        let frame_to = |dst: Addr, sent_at: u64| Frame {
+            src: Addr::server(NodeId(1)),
+            dst,
+            sent_at: SimTime(sent_at),
+            payload: Bytes::from_static(b"abc"),
+        };
+        let unknown_port = Addr { node: NodeId(0), port: 999 };
+        peer.write_all(&encode_frame(&frame_to(unknown_port, 10))).expect("write");
+        peer.write_all(&encode_frame(&frame_to(Addr::server(NodeId(1)), 20))).expect("write");
+        peer.write_all(&encode_frame(&frame_to(Addr::server(NodeId(0)), 30))).expect("write");
+        // Per-link FIFO: receiving the third frame proves the first two
+        // were dropped without costing the link.
+        assert_eq!(port.recv().expect("link survived").sent_at, SimTime(30));
+
+        peer.write_all(&[0xAB; 64]).expect("write garbage");
+        let bad = || -> Vec<_> {
+            obs.trace.events().into_iter().filter(|e| e.name == "bad_frame").collect()
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while bad().len() < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let events = bad();
+        assert_eq!(events.len(), 3, "{events:?}");
+        assert_eq!((events[0].ts, events[0].a, events[0].b), (SimTime(10), 999, 3));
+        assert_eq!((events[1].ts, events[1].a, events[1].b), (SimTime(20), 0, 3));
+        // Bad magic (rule 1), stamped with the link's last good frame.
+        assert_eq!((events[2].ts, events[2].a), (SimTime(30), 1));
+
+        // The node is still up: local traffic flows.
+        fabric.post(frame_to(Addr::server(NodeId(0)), 40));
+        assert_eq!(port.recv().expect("fabric still open").sent_at, SimTime(40));
+        fabric.close();
     }
 }

@@ -37,7 +37,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"NUPS");
 
 /// Current protocol version. Bumped on any incompatible frame or message
 /// change; the handshake rejects mismatched peers at connect time.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 retired version 1's single-key pull/push/localize messages
+/// (every access is a batch message now), so a mixed cluster must fail
+/// here rather than mis-decode payloads.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Size of the fixed frame header. Kept equal to the cost model's
 /// modelled framing overhead (asserted in the tests below).
@@ -494,6 +497,19 @@ mod tests {
         match read_frame(&mut &bytes[..]) {
             Err(ReadError::Frame(FrameError::UnsupportedVersion(99))) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_1_peer_rejected() {
+        // What a node built before the single-key messages were retired
+        // puts on the wire: same header layout, version field 1.
+        let f = frame(Addr::server(NodeId(0)), Addr::server(NodeId(1)), 0, b"x");
+        let mut bytes = encode_frame(&f);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        match read_frame(&mut &bytes[..]) {
+            Err(ReadError::Frame(FrameError::UnsupportedVersion(1))) => {}
+            other => panic!("expected UnsupportedVersion(1), got {other:?}"),
         }
     }
 

@@ -133,7 +133,7 @@ fn all_duplicate_pull_batch_collapses_to_single_key_message() {
     w.pull_many(&keys, &mut out);
     assert_eq!(out, vec![15.0; 8]);
     let m = ps.metrics();
-    assert_eq!(m.msgs_sent, 2, "one PullReq, one PullResp");
+    assert_eq!(m.msgs_sent, 2, "one request, one response");
     assert_eq!(m.batch_pull_keys, 1);
     assert_eq!(m.remote_pulls, 4);
     ps.shutdown();

@@ -1,9 +1,10 @@
 //! Forwarding-chain pricing: an operation that chases a moved key must
 //! charge the requester's virtual clock for exactly the message chain the
 //! servers produced — `hops > 2` means intermediate forwards, priced as
-//! repeats of the request payload.
+//! repeats of the request payload. A single-key operation is a batch of
+//! one, so the chain is priced with the one-entry batch encodings.
 
-use nups::core::messages::Msg;
+use nups::core::messages::{KeyUpdate, Msg};
 use nups::core::worker::NupsWorker;
 use nups::core::{NupsConfig, ParameterServer, PsWorker};
 use nups::sim::codec::WireEncode;
@@ -42,6 +43,12 @@ fn expected_charge(cfg: &NupsConfig, request_len: usize, response_len: usize) ->
     (cfg.cost.message(request_len) * 2 + cfg.cost.message(response_len)) * 1.0
 }
 
+/// Wire size of the one-entry response to a pull of a length-2 value.
+fn pull_resp_len(key: u64) -> usize {
+    Msg::PullBatchResp { values: vec![KeyUpdate { key, delta: vec![0.0; 2] }], hops: 3 }
+        .encoded_len()
+}
+
 #[test]
 fn forwarded_pull_through_tombstone_chain_charges_three_messages() {
     let (ps, mut w0) = cluster_with_stale_tombstone();
@@ -53,8 +60,7 @@ fn forwarded_pull_through_tombstone_chain_charges_three_messages() {
     let d = ps.metrics() - before_m;
     assert_eq!(d.msgs_sent, 3, "request + tombstone forward + response");
     assert_eq!(d.remote_pulls, 1);
-    let resp_len = Msg::PullResp { key: 0, value: vec![0.0; 2], hops: 3 }.encoded_len();
-    let expected = expected_charge(ps.config(), Msg::pull_req_len(), resp_len);
+    let expected = expected_charge(ps.config(), Msg::pull_batch_req_len(1), pull_resp_len(0));
     assert_eq!(w0.now() - before_t, expected, "charge must match the 3-message chain");
     ps.shutdown();
 }
@@ -68,8 +74,8 @@ fn forwarded_push_through_tombstone_chain_charges_three_messages() {
     let d = ps.metrics() - before_m;
     assert_eq!(d.msgs_sent, 3, "request + tombstone forward + ack");
     assert_eq!(d.remote_pushes, 1);
-    let ack_len = Msg::PushAck { key: 0, hops: 3 }.encoded_len();
-    let expected = expected_charge(ps.config(), Msg::push_req_len(2), ack_len);
+    let ack_len = Msg::PushBatchAck { keys: vec![0], hops: 3 }.encoded_len();
+    let expected = expected_charge(ps.config(), Msg::push_batch_req_len(1, 2), ack_len);
     assert_eq!(w0.now() - before_t, expected, "charge must match the 3-message chain");
     drop(w0);
     assert_eq!(ps.read_value(0), vec![6.0, 7.0], "the forwarded push landed exactly once");
@@ -96,8 +102,7 @@ fn directory_forward_at_home_also_prices_the_full_chain() {
     assert_eq!(buf, [5.0; 2]);
     let d = ps.metrics() - before_m;
     assert_eq!(d.msgs_sent, 3, "request to home + directory forward + response");
-    let resp_len = Msg::PullResp { key: 1, value: vec![0.0; 2], hops: 3 }.encoded_len();
-    let expected = expected_charge(ps.config(), Msg::pull_req_len(), resp_len);
+    let expected = expected_charge(ps.config(), Msg::pull_batch_req_len(1), pull_resp_len(1));
     assert_eq!(w0.now() - before_t, expected);
     ps.shutdown();
 }
