@@ -127,8 +127,9 @@ impl AdaptiveManager {
         &self.cfg
     }
 
-    /// Record one worker access to `key` (called from every pull/push
-    /// path; one relaxed atomic increment per sketch row).
+    /// Record one access to `key`: one relaxed atomic increment per sketch
+    /// row plus the total. (Workers record a whole call at once, through
+    /// [`crate::node::Shared::record_accesses`].)
     #[inline]
     pub fn record_access(&self, key: Key) {
         self.sketch.record(key, 1);

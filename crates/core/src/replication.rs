@@ -11,8 +11,27 @@
 //! Staleness is *time-based* (the paper's departure from clock-based SSP
 //! bounds): the sync cadence is a virtual-time period, enforced by
 //! [`crate::syncgate::SyncGate`].
+//!
+//! **One latch per access.** Finding a slot takes no lock: the slots live
+//! in an append-only table of doubling chunks ([`SlotTable`]) that never
+//! moves an element once it exists, so [`ReplicaSet::pull`], `push`,
+//! `apply_foreign` and `seal_slot` acquire exactly one mutex, the slot's
+//! own. With [`crate::technique::TechniqueMap::route`] being one atomic
+//! load, that is the paper's Section 3.2 single-latch access. The order
+//! that keeps it safe under live migration:
+//!
+//! * promotion installs the slot ([`ReplicaSet::install_slot`]) *before*
+//!   the route is published with a `Release` store, so an observed route
+//!   always leads to an existing slot keyed to its key;
+//! * demotion seals the slot (the tenancy ends under the slot mutex)
+//!   *before* the route flips back;
+//! * a worker holding a stale route therefore finds the slot sealed or
+//!   re-keyed, the keyed access returns `false`, and the worker routes
+//!   again.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use nups_sim::cost::CostModel;
 use nups_sim::metrics::ClusterMetrics;
@@ -56,17 +75,91 @@ impl Slot {
     }
 }
 
+/// Slots in the table's first chunk; chunk `c` holds `FIRST_CHUNK << c`.
+const FIRST_CHUNK: usize = 64;
+/// Enough doubling chunks for every `u32` slot index.
+const N_CHUNKS: usize = 27;
+
+/// Chunk and offset of slot `i`: chunk `c` covers the indices
+/// `[FIRST_CHUNK * (2^c - 1), FIRST_CHUNK * (2^(c+1) - 1))`.
+#[inline]
+fn locate(i: usize) -> (usize, usize) {
+    let j = i + FIRST_CHUNK;
+    let c = (j.ilog2() - FIRST_CHUNK.ilog2()) as usize;
+    (c, j - (FIRST_CHUNK << c))
+}
+
+/// Append-only table of slots whose lookup takes no lock.
+///
+/// A chunk is allocated once, full of holes, and never moves or shrinks, so
+/// a `&Mutex<Slot>` stays valid for the table's lifetime and readers need
+/// no guard against growth. Only growth itself is serialised, by a mutex no
+/// reader touches.
+struct SlotTable {
+    chunks: [OnceLock<Box<[Mutex<Slot>]>>; N_CHUNKS],
+    /// One past the highest slot ever installed. Stored with `Release`
+    /// after the chunks below it exist; the whole-table scans load it with
+    /// `Acquire`.
+    len: AtomicUsize,
+    grow: Mutex<()>,
+}
+
+impl SlotTable {
+    fn new() -> SlotTable {
+        SlotTable {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+            grow: Mutex::new(()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// The slot at index `i`. Every index below [`SlotTable::len`] is
+    /// addressable (never-installed ones are tenantless holes); asking for
+    /// one whose chunk was never allocated is a routing bug.
+    #[inline]
+    fn slot(&self, i: u32) -> &Mutex<Slot> {
+        let (c, off) = locate(i as usize);
+        let chunk =
+            self.chunks[c].get().unwrap_or_else(|| panic!("replica slot {i} not installed"));
+        &chunk[off]
+    }
+
+    /// Make every index up to and including `i` addressable.
+    fn grow_to(&self, i: u32) {
+        if (i as usize) < self.len() {
+            return;
+        }
+        let _growing = self.grow.lock();
+        for c in 0..=locate(i as usize).0 {
+            self.chunks[c]
+                .get_or_init(|| (0..FIRST_CHUNK << c).map(|_| Mutex::new(Slot::hole())).collect());
+        }
+        if i as usize >= self.len() {
+            self.len.store(i as usize + 1, Ordering::Release);
+        }
+    }
+
+    /// `(index, slot)` of every addressable slot, in index order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Mutex<Slot>)> {
+        (0..self.len() as u32).map(|i| (i, self.slot(i)))
+    }
+}
+
 /// One node's set of replicas, indexed by dense replica slot.
 ///
-/// The slot vector grows when the adaptive technique manager promotes a key
+/// The slot table grows when the adaptive technique manager promotes a key
 /// past the current capacity; freed slots are cleared in place and reused.
 /// In-process deployments grow only at synchronization rendezvous (workers
 /// parked); per-node deployments mutate slots from the server thread while
-/// workers run, which is what the per-slot tenancy keys are for. Server
-/// threads may also serve late-chasing operations concurrently, so the
-/// vector is behind an `RwLock` — an uncontended read on the hot path.
+/// workers run, which is what the per-slot tenancy keys are for. Neither
+/// ever blocks an access to another slot: growth appends chunks and takes
+/// no lock an access takes.
 pub struct ReplicaSet {
-    slots: RwLock<Vec<Mutex<Slot>>>,
+    slots: SlotTable,
     clip_policy: ClipPolicy,
     clip_state: Mutex<ClipState>,
 }
@@ -75,20 +168,19 @@ impl ReplicaSet {
     /// Build with `initial[slot]` as the `(key, starting value)` of each
     /// replica. Every node must be initialized with identical values.
     pub fn new(initial: &[(Key, Vec<f32>)], clip_policy: ClipPolicy) -> ReplicaSet {
-        ReplicaSet {
-            slots: RwLock::new(
-                initial
-                    .iter()
-                    .map(|(k, v)| Mutex::new(Slot::new(Some(*k), v.clone(), 0)))
-                    .collect(),
-            ),
+        let set = ReplicaSet {
+            slots: SlotTable::new(),
             clip_policy,
             clip_state: Mutex::new(ClipState::new()),
+        };
+        for (slot, (key, value)) in initial.iter().enumerate() {
+            set.install_slot(slot as u32, *key, value.clone(), 0);
         }
+        set
     }
 
     pub fn n_slots(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// Read the replica into `out` (shared-memory pull). `false` when the
@@ -97,8 +189,7 @@ impl ReplicaSet {
     #[inline]
     #[must_use]
     pub fn pull(&self, slot: u32, key: Key, out: &mut [f32]) -> bool {
-        let slots = self.slots.read();
-        let s = slots[slot as usize].lock();
+        let s = self.slots.slot(slot).lock();
         if s.key != Some(key) {
             return false;
         }
@@ -109,30 +200,38 @@ impl ReplicaSet {
     /// Apply `delta` locally and buffer it for synchronization. Replicated
     /// parameters are where the paper applies gradient-norm clipping
     /// (Section 5.1) to prevent exploding gradients under staleness.
-    /// `false` on a tenancy mismatch (nothing applied).
+    /// `false` on a tenancy mismatch (nothing applied). Without a clip
+    /// policy there is no norm to compute and no node-wide state to lock:
+    /// the slot mutex is the only latch, and the unscaled add is
+    /// bit-identical to scaling by 1.0.
     #[inline]
     #[must_use]
     pub fn push(&self, slot: u32, key: Key, delta: &[f32]) -> bool {
-        let scale = {
-            let mut clip = self.clip_state.lock();
-            clip.observe(self.clip_policy, norm(delta))
+        let scale = match self.clip_policy {
+            ClipPolicy::None => None,
+            policy => Some(self.clip_state.lock().observe(policy, norm(delta))),
         };
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
+        let mut s = self.slots.slot(slot).lock();
         if s.key != Some(key) {
             return false;
         }
-        axpy(&mut s.value, scale, delta);
-        axpy(&mut s.accum, scale, delta);
+        match scale {
+            None => {
+                add_assign(&mut s.value, delta);
+                add_assign(&mut s.accum, delta);
+            }
+            Some(scale) => {
+                axpy(&mut s.value, scale, delta);
+                axpy(&mut s.accum, scale, delta);
+            }
+        }
         s.dirty = true;
         true
     }
 
     /// Copy of the replica value (evaluation).
     pub fn get(&self, slot: u32) -> Vec<f32> {
-        let slots = self.slots.read();
-        let s = slots[slot as usize].lock();
-        s.value.clone()
+        self.slots.slot(slot).lock().value.clone()
     }
 
     /// Install `value` as `key`'s replica in `slot`, growing the set — with
@@ -142,24 +241,16 @@ impl ReplicaSet {
     /// first.) Resets the update buffer: the installed value is the
     /// authoritative post-migration state. `era` is the epoch of the plan
     /// installing this tenancy (0 outside the distributed-adaptive path).
+    /// The caller publishes the key's route only after this returns.
     pub fn install_slot(&self, slot: u32, key: Key, value: Vec<f32>, era: u64) {
-        let mut slots = self.slots.write();
-        let i = slot as usize;
-        while i > slots.len() {
-            slots.push(Mutex::new(Slot::hole()));
-        }
-        if i == slots.len() {
-            slots.push(Mutex::new(Slot::new(Some(key), value, era)));
-        } else {
-            *slots[i].lock() = Slot::new(Some(key), value, era);
-        }
+        self.slots.grow_to(slot);
+        *self.slots.slot(slot).lock() = Slot::new(Some(key), value, era);
     }
 
     /// Clear a freed slot (demotion): zero value and buffer and evict the
     /// tenant so a stale delta cannot leak into the slot's next occupant.
     pub fn clear_slot(&self, slot: u32) {
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
+        let mut s = self.slots.slot(slot).lock();
         s.key = None;
         s.value.iter_mut().for_each(|x| *x = 0.0);
         s.accum.iter_mut().for_each(|x| *x = 0.0);
@@ -170,8 +261,7 @@ impl ReplicaSet {
     /// `(value, accum)` (distributed demotion). The slot is left empty.
     /// `None` on a tenancy mismatch (the key was already evicted).
     pub fn seal_slot(&self, slot: u32, key: Key) -> Option<(Vec<f32>, Vec<f32>)> {
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
+        let mut s = self.slots.slot(slot).lock();
         if s.key != Some(key) {
             return None;
         }
@@ -184,22 +274,20 @@ impl ReplicaSet {
 
     /// Snapshot `(value, accum)` of one slot (demotion collapse).
     fn value_and_accum(&self, slot: u32) -> (Vec<f32>, Vec<f32>) {
-        let slots = self.slots.read();
-        let s = slots[slot as usize].lock();
+        let s = self.slots.slot(slot).lock();
         (s.value.clone(), s.accum.clone())
     }
 
     /// Take the accumulated deltas of all dirty slots, resetting them.
     fn drain(&self) -> Vec<(u32, Vec<f32>)> {
         let mut out = Vec::new();
-        let slots = self.slots.read();
-        for (i, slot) in slots.iter().enumerate() {
+        for (i, slot) in self.slots.iter() {
             let mut s = slot.lock();
             if s.dirty {
                 let len = s.accum.len();
                 let taken = std::mem::replace(&mut s.accum, vec![0.0; len]);
                 s.dirty = false;
-                out.push((i as u32, taken));
+                out.push((i, taken));
             }
         }
         out
@@ -213,8 +301,7 @@ impl ReplicaSet {
     /// accumulator is emptied whenever a tenancy (and thus an era) ends.
     fn drain_keyed(&self) -> Vec<(u64, Key, Vec<f32>)> {
         let mut out = Vec::new();
-        let slots = self.slots.read();
-        for slot in slots.iter() {
+        for (_, slot) in self.slots.iter() {
             let mut s = slot.lock();
             if s.dirty {
                 if let Some(key) = s.key {
@@ -240,8 +327,7 @@ impl ReplicaSet {
     /// arrival interleaves with a demote/re-promote cycle.
     #[must_use]
     pub fn apply_foreign(&self, slot: u32, key: Key, era: u64, delta: &[f32]) -> bool {
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
+        let mut s = self.slots.slot(slot).lock();
         if s.key != Some(key) || s.era != era {
             return false;
         }
@@ -249,12 +335,19 @@ impl ReplicaSet {
         true
     }
 
+    /// Hold the growth lock and the clip state, as a concurrent promotion
+    /// and a clipped push would (the single-latch test parks them here
+    /// while workers access other slots).
+    #[cfg(test)]
+    pub(crate) fn hold_growth_and_clip_locks(&self) -> impl Sized + '_ {
+        (self.slots.grow.lock(), self.clip_state.lock())
+    }
+
     /// Unkeyed foreign-delta apply for the in-process all-reduce, where
     /// slot assignments cannot shift mid-merge (every worker is parked at
     /// the rendezvous and migrations run under the same gate).
     fn apply_foreign_slot(&self, slot: u32, delta: &[f32]) {
-        let slots = self.slots.read();
-        let mut s = slots[slot as usize].lock();
+        let mut s = self.slots.slot(slot).lock();
         debug_assert!(s.key.is_some(), "in-process merge over an unoccupied slot {slot}");
         add_assign(&mut s.value, delta);
     }
@@ -544,6 +637,200 @@ mod tests {
         assert!(!set.pull(1, 1, &mut out), "hole slots have no tenant");
         assert!(set.pull(3, 42, &mut out));
         assert_eq!(out, vec![5.0]);
+    }
+
+    #[test]
+    fn slot_table_addresses_both_sides_of_every_chunk_boundary() {
+        // First and last index of the first three chunks (64, 128, 256).
+        let edges = [0u32, 63, 64, 191, 192, 447];
+        assert_eq!(
+            edges.map(|i| locate(i as usize)),
+            [(0, 0), (0, 63), (1, 0), (1, 127), (2, 0), (2, 255)]
+        );
+        assert_eq!(locate(448), (3, 0));
+        assert!(locate(u32::MAX as usize).0 < N_CHUNKS, "every u32 slot has a chunk");
+
+        let set = ReplicaSet::new(&[], ClipPolicy::None);
+        assert_eq!(set.n_slots(), 0);
+        let key_of = |slot: u32| 1000 + slot as Key;
+        for &slot in &edges {
+            set.install_slot(slot, key_of(slot), vec![slot as f32], 0);
+            assert_eq!(set.n_slots(), slot as usize + 1);
+        }
+        // Growth moved nothing: every edge slot still serves its tenant.
+        let mut out = vec![0.0];
+        for &slot in &edges {
+            assert!(set.push(slot, key_of(slot), &[1.0]), "slot {slot}");
+            assert!(set.pull(slot, key_of(slot), &mut out), "slot {slot}");
+            assert_eq!(out, vec![slot as f32 + 1.0], "slot {slot}");
+        }
+        let drained: Vec<u32> = set.drain().into_iter().map(|(slot, _)| slot).collect();
+        assert_eq!(drained, edges, "the scan visits slots in index order, across chunks");
+    }
+
+    #[test]
+    fn far_install_leaves_addressable_holes_that_reject_keyed_access() {
+        let set = ReplicaSet::new(&[(7, vec![1.0])], ClipPolicy::None);
+        set.install_slot(1000, 42, vec![5.0], 0);
+        assert_eq!(set.n_slots(), 1001);
+        // Out-of-order installs below the end fill holes and leave the
+        // length alone.
+        set.install_slot(200, 43, vec![6.0], 0);
+        set.install_slot(70, 44, vec![7.0], 0);
+        assert_eq!(set.n_slots(), 1001);
+        let mut out = vec![0.0];
+        for hole in [1u32, 63, 64, 69, 71, 191, 192, 199, 201, 447, 448, 999] {
+            assert!(!set.pull(hole, hole as Key, &mut out), "hole {hole} has no tenant");
+            assert!(!set.push(hole, hole as Key, &[1.0]), "hole {hole}");
+            assert!(!set.apply_foreign(hole, hole as Key, 0, &[1.0]), "hole {hole}");
+            assert_eq!(set.seal_slot(hole, hole as Key), None, "hole {hole}");
+            assert!(set.get(hole).is_empty(), "a hole holds no value");
+        }
+        assert!(set.drain_keyed().is_empty(), "rejected accesses dirtied nothing");
+        for (slot, key, value) in [(0, 7, 1.0), (70, 44, 7.0), (200, 43, 6.0), (1000, 42, 5.0)] {
+            assert!(set.pull(slot, key, &mut out));
+            assert_eq!(out, vec![value]);
+        }
+    }
+
+    #[test]
+    fn concurrent_access_and_migration_conserve_every_delta() {
+        use crate::technique::{KeyRoute, TechniqueMap};
+        use std::collections::VecDeque;
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        use std::sync::Barrier;
+
+        const KEYS: u64 = 256;
+        // Slots 0..60 are taken at the start, so the promotions below cross
+        // the table's chunk boundaries at 64 and at 192.
+        const START: u64 = 60;
+        // Writers and reader run for as long as the migrator does, so every
+        // one of its rounds has accesses in flight around it.
+        const ROUNDS: u64 = 6_000;
+        const WRITERS: u64 = 2;
+        const RETRY_LIMIT: u32 = 10_000_000;
+        const MAX_SEALED: usize = 16;
+
+        let start_keys: Vec<Key> = (0..START).collect();
+        let tm = TechniqueMap::from_replicated_keys(KEYS, &start_keys);
+        let init: Vec<(Key, Vec<f32>)> = start_keys.iter().map(|&k| (k, vec![0.0])).collect();
+        let set = ReplicaSet::new(&init, ClipPolicy::None);
+        let counters = || (0..KEYS).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        // Per key: pushes issued, and pushes that routed as relocated (the
+        // store's stand-in).
+        let (pushed, relocated) = (counters(), counters());
+        let migrating = AtomicBool::new(true);
+        let start = Barrier::new(WRITERS as usize + 2);
+
+        // One keyed access the way the worker does it: a failed access
+        // re-reads the route until it is served or the key is relocated.
+        let access = |key: Key, on_slot: &mut dyn FnMut(u32) -> bool| -> bool {
+            for _ in 0..RETRY_LIMIT {
+                match tm.route(key) {
+                    KeyRoute::Replicated(slot) => {
+                        if on_slot(slot) {
+                            return true;
+                        }
+                        std::thread::yield_now();
+                    }
+                    KeyRoute::Relocated => return false,
+                }
+            }
+            panic!("key {key}: the route never caught up with the slot's tenancy");
+        };
+
+        let residues = std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (start, access, migrating) = (&start, &access, &migrating);
+                let (set, pushed, relocated) = (&set, &pushed, &relocated);
+                s.spawn(move || {
+                    start.wait();
+                    let mut key = w * 3;
+                    while migrating.load(Ordering::Acquire) {
+                        key = (key + 7) % KEYS;
+                        if !access(key, &mut |slot| set.push(slot, key, &[1.0])) {
+                            relocated[key as usize].fetch_add(1, Ordering::Relaxed);
+                        }
+                        pushed[key as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            {
+                let (start, access, set, migrating) = (&start, &access, &set, &migrating);
+                s.spawn(move || {
+                    start.wait();
+                    let mut out = vec![0.0f32];
+                    let mut key = 0;
+                    while migrating.load(Ordering::Acquire) {
+                        key = (key + 11) % KEYS;
+                        if access(key, &mut |slot| set.pull(slot, key, &mut out)) {
+                            assert!(out[0] >= 0.0 && out[0].fract() == 0.0, "torn read {}", out[0]);
+                        }
+                    }
+                });
+            }
+            // The migrator: promote fresh keys past the chunk boundaries,
+            // seal the oldest tenancy every third round, and re-install
+            // sealed keys (a fresh era, a reused slot) to keep at most
+            // MAX_SEALED of them out.
+            let migrator = s.spawn(|| {
+                // Also on a failed assertion, so the other threads end and
+                // the test fails instead of hanging.
+                struct Stop<'a>(&'a AtomicBool);
+                impl Drop for Stop<'_> {
+                    fn drop(&mut self) {
+                        self.0.store(false, Ordering::Release);
+                    }
+                }
+                let _stop = Stop(&migrating);
+                start.wait();
+                let mut residues = vec![0.0f32; KEYS as usize];
+                let mut live: VecDeque<Key> = start_keys.iter().copied().collect();
+                let mut sealed: VecDeque<Key> = VecDeque::new();
+                let mut fresh = START..KEYS;
+                let promote = |key: Key, era: u64, live: &mut VecDeque<Key>| {
+                    let slot = tm.next_slot();
+                    set.install_slot(slot, key, vec![0.0], era);
+                    assert_eq!(tm.promote(key), slot);
+                    live.push_back(key);
+                };
+                for round in 1..=ROUNDS {
+                    if let Some(key) = fresh.next() {
+                        promote(key, round, &mut live);
+                    }
+                    if round % 3 == 0 {
+                        let key = live.pop_front().expect("most keys are live");
+                        let slot = tm.replica_slot(key).expect("live key has a slot");
+                        let (value, accum) =
+                            set.seal_slot(slot, key).expect("live key owns its slot");
+                        assert_eq!(value, accum, "installed at zero, so the value is the residue");
+                        residues[key as usize] += value[0];
+                        tm.demote(key);
+                        sealed.push_back(key);
+                    }
+                    if sealed.len() > MAX_SEALED {
+                        let key = sealed.pop_front().expect("non-empty");
+                        promote(key, round, &mut live);
+                    }
+                    std::thread::yield_now();
+                }
+                residues
+            });
+            migrator.join().expect("migrator panicked")
+        });
+
+        assert!(set.n_slots() > 192, "promotions crossed two chunk boundaries: {}", set.n_slots());
+        for key in 0..KEYS {
+            let in_replica = tm.replica_slot(key).map_or(0.0, |slot| set.get(slot)[0]);
+            let k = key as usize;
+            assert_eq!(
+                pushed[k].load(Ordering::Relaxed) as f32,
+                relocated[k].load(Ordering::Relaxed) as f32 + residues[k] + in_replica,
+                "key {key}: pushed != relocated + sealed residues + live replica"
+            );
+        }
+        let per_key = pushed.iter().map(|p| p.load(Ordering::Relaxed)).max().unwrap_or(0);
+        assert!(per_key < 1 << 24, "counts stay exact in f32");
     }
 
     #[test]

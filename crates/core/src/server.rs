@@ -143,12 +143,11 @@ impl Server {
     /// replica set. `None` when the key has since been demoted again (the
     /// caller re-routes via the home directory).
     ///
-    /// The slot lookup and the replica access are two acquisitions, which
-    /// is safe because assignments only mutate during an adaptation round,
-    /// and no pull/push can be in a server queue then: every pull/push is
-    /// worker-synchronous, so an outstanding one implies a worker blocked
-    /// on its reply — which would have prevented the rendezvous the round
-    /// runs under.
+    /// The slot lookup is one atomic load of the key's route and the
+    /// replica access one slot-mutex acquisition. A route that went stale
+    /// in between is caught by the slot's tenancy check under that mutex:
+    /// promotion installs the slot before publishing the route, demotion
+    /// seals it before flipping the route back.
     fn replica_pull(&self, key: Key) -> Option<Vec<f32>> {
         let slot = self.shared.technique.replica_slot(key)?;
         let mut value = vec![0.0; self.shared.value_len];

@@ -47,6 +47,11 @@ pub struct SyncGate {
     enabled: bool,
     /// Busy fraction of the last window, in parts per thousand.
     busy_millis: AtomicU64,
+    /// Mirror of `GateState::boundary` for [`SyncGate::poll`]'s lock-free
+    /// early return. It only ever moves forward, so a stale read is a
+    /// boundary already passed and costs one trip through the mutex, never
+    /// a missed rendezvous.
+    next_boundary: AtomicU64,
     /// The virtual-time boundary of the merge currently (or most recently)
     /// executing. Mirrored out of the gate state so the merge closure can
     /// read it without re-entering the gate mutex (which it runs under).
@@ -79,6 +84,7 @@ impl SyncGate {
             period,
             enabled,
             busy_millis: AtomicU64::new(0),
+            next_boundary: AtomicU64::new((SimTime::ZERO + period).as_nanos()),
             merge_boundary: AtomicU64::new(0),
         }
     }
@@ -123,7 +129,9 @@ impl SyncGate {
     /// boundaries until all active workers arrive; the last arrival runs
     /// `merge` (which returns the modelled sync duration).
     pub fn poll(&self, now: SimTime, mut merge: impl FnMut() -> SimDuration) {
-        if !self.enabled {
+        // The common call — once per step, boundary still ahead — takes no
+        // lock; the loop below re-checks under the mutex.
+        if !self.enabled || now.as_nanos() < self.next_boundary.load(Ordering::Acquire) {
             return;
         }
         let mut st = self.state.lock();
@@ -159,6 +167,7 @@ impl SyncGate {
         // The next boundary slips when the merge overran the period: the
         // achieved sync frequency degrades instead of queueing unboundedly.
         st.boundary += window;
+        self.next_boundary.store(st.boundary.as_nanos(), Ordering::Release);
         st.generation += 1;
         st.arrived = 0;
         self.cv.notify_all();
@@ -240,6 +249,35 @@ mod tests {
         // Clock at 35ms crosses boundaries at 10, 20, 30 → three merges.
         g.poll(SimTime(35_000_000), || SimDuration::ZERO);
         assert_eq!(g.stats().syncs_done, 3);
+        g.leave(|| SimDuration::ZERO);
+    }
+
+    #[test]
+    fn poll_before_the_boundary_takes_no_lock() {
+        let g = Arc::new(SyncGate::new(SimDuration::from_millis(10), true));
+        g.enter();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let polled = {
+            // Held for the whole poll: a poll that locked would never return.
+            let _state = g.state.lock();
+            let g2 = Arc::clone(&g);
+            let t = std::thread::spawn(move || {
+                g2.poll(SimTime(9_999_999), || unreachable!("no merge before the boundary"));
+                let _ = done_tx.send(());
+            });
+            let polled = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(_state);
+            t.join().unwrap();
+            polled
+        };
+        polled.expect("poll took the gate mutex with the boundary still ahead");
+        // The early return follows the boundary as merges move it: 10 ms
+        // fires, and with a 50 ms merge the next one is at 60 ms.
+        g.poll(SimTime(10_000_000), || SimDuration::from_millis(50));
+        assert_eq!(g.stats().syncs_done, 1);
+        g.poll(SimTime(59_999_999), || unreachable!("boundary slipped to 60 ms"));
+        g.poll(SimTime(60_000_000), || SimDuration::ZERO);
+        assert_eq!(g.stats().syncs_done, 2);
         g.leave(|| SimDuration::ZERO);
     }
 

@@ -7,14 +7,33 @@
 //! run time. This implementation keeps that mode (construct and never
 //! mutate) but additionally supports **live migration**: the adaptive
 //! technique manager ([`crate::adaptive`]) promotes keys to replication and
-//! demotes them back while the system runs. Mutations happen only at
-//! synchronization rendezvous points — every worker is parked at the gate —
-//! so the hot-path read is an uncontended `RwLock` read (one reader-count
-//! atomic per access via [`TechniqueMap::route`]; a deliberate, measured
-//! step down from the old plain array read, paid even by static servers,
-//! in exchange for safe live mutation) and each mutation batch bumps a
-//! single `epoch` counter that observers can use to detect assignment
-//! changes.
+//! demotes them back while the system runs.
+//!
+//! **The hot-path read takes no lock.** Each key has one `AtomicU32` in the
+//! route table — [`NO_SLOT`] for a relocated key, else its replica slot —
+//! and [`TechniqueMap::route`] is a single `Acquire` load of it: the
+//! technique check and the slot lookup in one read, no read-modify-write,
+//! on static and adaptive servers alike. Together with the replica set's
+//! lock-free slot lookup ([`crate::replication`]) this is the paper's
+//! Section 3.2 property: a shared-memory access costs one latch, the slot's
+//! or the store shard's, and nothing else that is shared.
+//!
+//! Mutators publish a route with a `Release` store, and the order around
+//! that store is what keeps a lock-free reader safe:
+//!
+//! * **Promotion** — install the value into the replica slot first, store
+//!   the route second. A reader that observes the slot is guaranteed
+//!   backing storage keyed to its key.
+//! * **Demotion** — seal the replica slot first (ending the key's tenancy
+//!   under the slot mutex), flip the route to [`NO_SLOT`] second.
+//! * **A stale route is harmless**: a reader that loaded the slot just
+//!   before a demotion finds the slot sealed or re-keyed, the keyed access
+//!   fails on the tenancy check, and the caller routes again.
+//!
+//! The `RwLock` guards only what the mutators and planners share — which
+//! key holds which slot, and the free list — and no reader of a route ever
+//! takes it. Each mutation batch bumps a single `epoch` counter that
+//! observers can use to detect assignment changes.
 //!
 //! Replica slots are allocated from a free list so a demoted key's slot is
 //! reused by a later promotion instead of growing the replica sets without
@@ -22,22 +41,21 @@
 
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::key::Key;
 
 /// The management technique for one key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Technique {
     /// Lapse-style dynamic allocation: one owner at a time, asynchronous
     /// relocation, per-key sequential consistency.
-    Relocated = 0,
+    Relocated,
     /// Eager replication on every node with time-based staleness bounds.
-    Replicated = 1,
+    Replicated,
 }
 
-/// One key's routing decision, resolved under a single lock acquisition
+/// One key's routing decision, resolved by a single atomic load
 /// ([`TechniqueMap::route`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyRoute {
@@ -47,12 +65,13 @@ pub enum KeyRoute {
     Relocated,
 }
 
-/// The mutable assignment state, guarded by the map's `RwLock`.
+/// Route-table entry of a relocation-managed key.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Slot bookkeeping of the mutators and planners, guarded by the map's
+/// `RwLock`. Routes are not in here: readers never take the lock.
 #[derive(Debug)]
 struct TechInner {
-    techniques: Vec<u8>,
-    /// Replica slot of each key (`u32::MAX` when not replicated).
-    replica_slot: Vec<u32>,
     /// Key held by each slot (`None` = free).
     slot_keys: Vec<Option<Key>>,
     /// Slots released by demotions, reused by later promotions (LIFO for
@@ -63,6 +82,10 @@ struct TechInner {
 /// Epoch-versioned key → technique table, plus a dense index for
 /// replicated keys.
 pub struct TechniqueMap {
+    /// Per-key route: the replica slot, or [`NO_SLOT`] when relocated.
+    /// Loaded with `Acquire`, stored with `Release` after the slot was
+    /// installed (promotion) or sealed (demotion).
+    routes: Vec<AtomicU32>,
     inner: RwLock<TechInner>,
     /// Bumped once per adaptation round that changed any assignment.
     epoch: AtomicU64,
@@ -87,24 +110,18 @@ impl TechniqueMap {
 
     /// Replicate exactly `replicated` (deduplicated), relocate the rest.
     pub fn from_replicated_keys(n_keys: u64, replicated: &[Key]) -> TechniqueMap {
-        let mut techniques = vec![Technique::Relocated as u8; n_keys as usize];
-        let mut replica_slot = vec![u32::MAX; n_keys as usize];
+        let mut routes = vec![NO_SLOT; n_keys as usize];
         let mut slot_keys = Vec::with_capacity(replicated.len());
         for &k in replicated {
             assert!(k < n_keys, "replicated key {k} outside key space");
-            if replica_slot[k as usize] == u32::MAX {
-                replica_slot[k as usize] = slot_keys.len() as u32;
-                techniques[k as usize] = Technique::Replicated as u8;
+            if routes[k as usize] == NO_SLOT {
+                routes[k as usize] = slot_keys.len() as u32;
                 slot_keys.push(Some(k));
             }
         }
         TechniqueMap {
-            inner: RwLock::new(TechInner {
-                techniques,
-                replica_slot,
-                slot_keys,
-                free_slots: Vec::new(),
-            }),
+            routes: routes.into_iter().map(AtomicU32::new).collect(),
+            inner: RwLock::new(TechInner { slot_keys, free_slots: Vec::new() }),
             epoch: AtomicU64::new(0),
             migrating: Mutex::new(FxHashSet::default()),
         }
@@ -112,44 +129,44 @@ impl TechniqueMap {
 
     #[inline]
     pub fn technique(&self, key: Key) -> Technique {
-        if self.inner.read().techniques[key as usize] == Technique::Replicated as u8 {
-            Technique::Replicated
-        } else {
-            Technique::Relocated
+        match self.replica_slot(key) {
+            Some(_) => Technique::Replicated,
+            None => Technique::Relocated,
         }
     }
 
     /// The technique check and (for replicated keys) the replica-slot
-    /// lookup under a single lock acquisition — the worker hot path uses
-    /// this so one key access costs one atomic, not two (the paper's
-    /// "one latch acquisition" point, Section 3.2).
+    /// lookup in one `Acquire` load of the key's route — no lock and no
+    /// read-modify-write, so the only latch a shared-memory access takes
+    /// is the one guarding the value (the paper's "one latch acquisition"
+    /// point, Section 3.2). The load pairs with the mutators' `Release`
+    /// store: an observed slot was installed before it was published. The
+    /// route may be stale by the time the caller uses it; the replica
+    /// set's tenancy check turns that into a miss, and the caller routes
+    /// again.
     #[inline]
     pub fn route(&self, key: Key) -> KeyRoute {
-        let inner = self.inner.read();
-        if inner.techniques[key as usize] == Technique::Replicated as u8 {
-            KeyRoute::Replicated(inner.replica_slot[key as usize])
-        } else {
-            KeyRoute::Relocated
+        match self.replica_slot(key) {
+            Some(slot) => KeyRoute::Replicated(slot),
+            None => KeyRoute::Relocated,
         }
     }
 
-    /// Dense replica slot of a replicated key.
+    /// Dense replica slot of a replicated key (one `Acquire` load).
     #[inline]
     pub fn replica_slot(&self, key: Key) -> Option<u32> {
-        let s = self.inner.read().replica_slot[key as usize];
-        (s != u32::MAX).then_some(s)
+        let s = self.routes[key as usize].load(Ordering::Acquire);
+        (s != NO_SLOT).then_some(s)
     }
 
     #[inline]
     pub fn is_replicated(&self, key: Key) -> bool {
-        self.inner.read().techniques[key as usize] == Technique::Replicated as u8
+        self.replica_slot(key).is_some()
     }
 
-    /// Per-key replication flags under one lock acquisition (the
-    /// adaptation scan reads every key; per-key `is_replicated` calls
-    /// would take the lock `n_keys` times).
+    /// Per-key replication flags (the adaptation scan reads every key).
     pub fn replicated_flags(&self) -> Vec<bool> {
-        self.inner.read().techniques.iter().map(|&t| t == Technique::Replicated as u8).collect()
+        (0..self.n_keys()).map(|key| self.is_replicated(key)).collect()
     }
 
     /// Currently replicated keys, in slot order (freed slots skipped).
@@ -173,7 +190,7 @@ impl TechniqueMap {
     }
 
     pub fn n_keys(&self) -> u64 {
-        self.inner.read().techniques.len() as u64
+        self.routes.len() as u64
     }
 
     /// The assignment epoch: bumped once per adaptation round that migrated
@@ -207,11 +224,7 @@ impl TechniqueMap {
     /// this (see [`TechniqueMap::next_slot`]).
     pub(crate) fn promote(&self, key: Key) -> u32 {
         let mut inner = self.inner.write();
-        assert_eq!(
-            inner.techniques[key as usize],
-            Technique::Relocated as u8,
-            "promote of already-replicated key {key}"
-        );
+        assert!(!self.is_replicated(key), "promote of already-replicated key {key}");
         let slot = match inner.free_slots.pop() {
             Some(s) => s,
             None => {
@@ -220,8 +233,7 @@ impl TechniqueMap {
             }
         };
         inner.slot_keys[slot as usize] = Some(key);
-        inner.replica_slot[key as usize] = slot;
-        inner.techniques[key as usize] = Technique::Replicated as u8;
+        self.routes[key as usize].store(slot, Ordering::Release);
         slot
     }
 
@@ -234,11 +246,7 @@ impl TechniqueMap {
     /// node's own `next_slot`.
     pub(crate) fn promote_to_slot(&self, key: Key, slot: u32) {
         let mut inner = self.inner.write();
-        assert_eq!(
-            inner.techniques[key as usize],
-            Technique::Relocated as u8,
-            "promote of already-replicated key {key}"
-        );
+        assert!(!self.is_replicated(key), "promote of already-replicated key {key}");
         let i = slot as usize;
         if i >= inner.slot_keys.len() {
             for hole in inner.slot_keys.len() as u32..slot {
@@ -250,8 +258,7 @@ impl TechniqueMap {
         }
         debug_assert_eq!(inner.slot_keys[i], None, "leader assigned an occupied slot {slot}");
         inner.slot_keys[i] = Some(key);
-        inner.replica_slot[key as usize] = slot;
-        inner.techniques[key as usize] = Technique::Replicated as u8;
+        self.routes[key as usize].store(slot, Ordering::Release);
     }
 
     /// Simulate the slot assignment the leader's plan dictates: demotions
@@ -262,8 +269,8 @@ impl TechniqueMap {
         let inner = self.inner.read();
         let mut free = inner.free_slots.clone();
         for &k in demotions {
-            let slot = inner.replica_slot[k as usize];
-            debug_assert_ne!(slot, u32::MAX, "planned demotion of non-replicated key {k}");
+            let slot = self.routes[k as usize].load(Ordering::Acquire);
+            debug_assert_ne!(slot, NO_SLOT, "planned demotion of non-replicated key {k}");
             free.push(slot);
         }
         let mut len = inner.slot_keys.len() as u32;
@@ -282,13 +289,14 @@ impl TechniqueMap {
 
     /// Flip `key` back to relocation, freeing its replica slot. Returns the
     /// freed slot. Caller must have collapsed the replicas into a single
-    /// owned store entry first.
+    /// owned store entry first — sealing or clearing the slot *before* this
+    /// flip, so a reader still holding the old route misses on the slot's
+    /// tenancy check instead of writing into a freed slot.
     pub(crate) fn demote(&self, key: Key) -> u32 {
         let mut inner = self.inner.write();
-        let slot = inner.replica_slot[key as usize];
-        assert_ne!(slot, u32::MAX, "demote of non-replicated key {key}");
-        inner.replica_slot[key as usize] = u32::MAX;
-        inner.techniques[key as usize] = Technique::Relocated as u8;
+        let slot =
+            self.replica_slot(key).unwrap_or_else(|| panic!("demote of non-replicated key {key}"));
+        self.routes[key as usize].store(NO_SLOT, Ordering::Release);
         inner.slot_keys[slot as usize] = None;
         inner.free_slots.push(slot);
         slot
@@ -314,6 +322,13 @@ impl TechniqueMap {
 
     pub(crate) fn unfence_key(&self, key: Key) {
         self.migrating.lock().remove(&key);
+    }
+
+    /// Hold the mutators' lock, as a migration in progress would (the
+    /// single-latch test parks it here while workers route).
+    #[cfg(test)]
+    pub(crate) fn hold_writer_lock(&self) -> impl Sized + '_ {
+        self.inner.write()
     }
 
     /// True when the home server must drop a localize request for `key`:

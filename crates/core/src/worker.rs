@@ -1,8 +1,11 @@
 //! The NuPS worker: multi-technique access paths plus the sampling manager
 //! front-end.
 //!
-//! A worker resolves each access with one technique check (a lock-free
-//! array read) followed by a single latch acquisition (Section 3.2):
+//! A worker resolves each access with one technique check (one atomic load
+//! of the key's route) followed by a single latch acquisition (Section
+//! 3.2) — the replica slot's mutex or the store shard's, and no other
+//! shared read-modify-write per key: hit counters are summed in locals and
+//! added once per call, the access sketch's total likewise.
 //!
 //! * replicated key → the node's replica set, through shared memory;
 //! * relocated key, owned locally → the store, through shared memory;
@@ -52,6 +55,15 @@ use crate::store::LocalAccess;
 use crate::technique::{KeyRoute, Technique};
 use crate::value::add_assign;
 
+/// Outcome of one relocated-key access attempted through shared memory.
+enum Relocated {
+    /// Served from the local store; `waited` when the key was still in
+    /// flight to this node at first look and the access blocked on it.
+    Local { waited: bool },
+    /// Not here: a request must go to this node.
+    Remote(NodeId),
+}
+
 /// Per-distribution sampler state held by one worker.
 enum SamplerState {
     Independent,
@@ -65,6 +77,9 @@ pub struct NupsWorker {
     node: Arc<NodeState>,
     endpoint: Box<dyn Port>,
     clock: Box<dyn RuntimeClock>,
+    /// Modelled cost of copying one value through shared memory (constant
+    /// per server: it depends on the value length alone).
+    shared_memory_cost: SimDuration,
     rng: SmallRng,
     dists: Vec<Arc<(Distribution, SamplingScheme)>>,
     samplers: Vec<SamplerState>,
@@ -90,12 +105,15 @@ impl NupsWorker {
                 SamplingScheme::Local => SamplerState::Local,
             })
             .collect();
+        let shared_memory_cost =
+            shared.runtime.pricing().shared_memory_access(4 * shared.value_len);
         NupsWorker {
             id,
             shared,
             node,
             endpoint,
             clock,
+            shared_memory_cost,
             rng: SmallRng::seed_from_u64(seed),
             dists,
             samplers,
@@ -127,8 +145,7 @@ impl NupsWorker {
 
     #[inline]
     fn charge_shared_memory(&mut self) {
-        let c = self.pricing().shared_memory_access(4 * self.shared.value_len);
-        self.clock.advance(c);
+        self.clock.advance(self.shared_memory_cost);
     }
 
     /// Price the tail of a remote chain whose request was already charged
@@ -174,63 +191,27 @@ impl NupsWorker {
         self.clock.now() + d * self.congestion()
     }
 
-    /// Serve one replicated-key pull from the node's replica set (the
-    /// slot comes from the same [`KeyRoute`] lookup as the technique
-    /// check — one lock acquisition per access). `false` when the slot no
-    /// longer holds `key`: a distributed demotion sealed it between the
-    /// route lookup and the access, and the route flip lands as soon as
-    /// the server finishes the same plan step — the caller re-routes.
-    fn pull_replicated(&mut self, slot: u32, key: Key, out: &mut [f32]) -> bool {
-        if !self.node.replicas.pull(slot, key, out) {
-            return false;
-        }
-        let m = self.metrics();
-        m.inc(|m| &m.replica_pulls);
-        m.inc(|m| &m.local_pulls);
-        self.charge_shared_memory();
-        true
-    }
-
-    /// Absorb one replicated-key push into the node's replica set; same
-    /// tenancy contract as [`NupsWorker::pull_replicated`].
-    fn push_replicated(&mut self, slot: u32, key: Key, delta: &[f32]) -> bool {
-        if !self.node.replicas.push(slot, key, delta) {
-            return false;
-        }
-        let m = self.metrics();
-        m.inc(|m| &m.replica_pushes);
-        m.inc(|m| &m.local_pushes);
-        self.charge_shared_memory();
-        true
-    }
-
     /// One relocated-key access through shared memory: run `apply` on the
     /// value if the key is (or, after blocking on an in-flight transfer,
-    /// becomes) local — charging the install wait plus the shared-memory
-    /// copy and counting `counter` — or return the destination a remote
-    /// request should go to. When the access blocked, the charge uses the
-    /// *installed* entry's stamp, not the one seen before blocking: the
-    /// key may have been re-relocated while this worker waited.
-    fn relocated_local_or_dst(
-        &mut self,
-        key: Key,
-        counter: fn(&Metrics) -> &std::sync::atomic::AtomicU64,
-        mut apply: impl FnMut(&mut Vec<f32>),
-    ) -> Option<NodeId> {
-        let served_at = match self.node.store.with_local(key, &mut apply) {
-            LocalAccess::Done((), available_at) => available_at,
+    /// becomes) local, charging the install wait plus the shared-memory
+    /// copy, or report where a remote request should go. When the access
+    /// blocked, the charge uses the *installed* entry's stamp, not the one
+    /// seen before blocking: the key may have been re-relocated while this
+    /// worker waited.
+    fn relocated_access(&mut self, key: Key, mut apply: impl FnMut(&mut Vec<f32>)) -> Relocated {
+        let (served_at, waited) = match self.node.store.with_local(key, &mut apply) {
+            LocalAccess::Done((), available_at) => (available_at, false),
             LocalAccess::InFlight(_) => match self.node.store.wait_local(key, &mut apply) {
-                Some(((), available_at)) => available_at,
-                None => return Some(self.shared.keyspace.home(key)),
+                Some(((), available_at)) => (available_at, true),
+                None => return Relocated::Remote(self.shared.keyspace.home(key)),
             },
             LocalAccess::Remote(hint) => {
-                return Some(hint.unwrap_or_else(|| self.shared.keyspace.home(key)));
+                return Relocated::Remote(hint.unwrap_or_else(|| self.shared.keyspace.home(key)));
             }
         };
-        self.metrics().add(counter, 1);
         self.charge_install_wait(served_at);
         self.charge_shared_memory();
-        None
+        Relocated::Local { waited }
     }
 
     /// Whether a sampled key can be served without the network right now.
@@ -279,9 +260,8 @@ impl NupsWorker {
             return Vec::new();
         }
         let vl = self.shared.value_len;
-        let n_remote = keys.iter().filter(|&&k| !self.locally_available(k)).count() as u64;
         let mut flat = vec![0.0f32; keys.len() * vl];
-        self.pull_many(&keys, &mut flat);
+        let n_remote = self.pull_many_timed(&keys, &mut flat);
         let m = self.metrics();
         m.add(|m| &m.samples_remote, n_remote);
         m.add(|m| &m.samples_drawn, keys.len() as u64);
@@ -291,39 +271,51 @@ impl NupsWorker {
     /// Pull `keys`: serve what shared memory can, then issue one request
     /// per remote destination and collect the (possibly split) replies.
     /// The grouping vectors and reply maps are built only once a key turns
-    /// out to be remote, so an all-local call allocates nothing.
-    fn pull_many_batched(&mut self, keys: &[Key], out: &mut [f32]) {
+    /// out to be remote, so an all-local call allocates nothing. Returns
+    /// how many keys shared memory could not serve at first look (in
+    /// flight to this node, or remote).
+    fn pull_many_batched(&mut self, keys: &[Key], out: &mut [f32]) -> u64 {
         let vl = self.shared.value_len;
         debug_assert_eq!(out.len(), keys.len() * vl);
+        self.shared.record_accesses(keys);
         let mut remote: Vec<(NodeId, Vec<(Key, usize)>)> = Vec::new();
+        let (mut replica_hits, mut store_hits, mut not_at_first_look) = (0u64, 0u64, 0u64);
         for (i, &key) in keys.iter().enumerate() {
             let slot = &mut out[i * vl..(i + 1) * vl];
-            self.shared.record_access(key);
             loop {
                 match self.shared.technique.route(key) {
                     KeyRoute::Replicated(r) => {
-                        if self.pull_replicated(r, key, slot) {
+                        if self.node.replicas.pull(r, key, slot) {
+                            self.charge_shared_memory();
+                            replica_hits += 1;
                             break;
                         }
-                        // Demotion in progress on the server thread; the
-                        // route flips within the same plan step.
+                        // The slot no longer holds `key`: a demotion on
+                        // the server thread sealed it after the route
+                        // load; the route flips within the same plan step.
                         std::thread::yield_now();
                     }
                     KeyRoute::Relocated => {
-                        if let Some(dst) = self.relocated_local_or_dst(
-                            key,
-                            |m| &m.local_pulls,
-                            |v| slot.copy_from_slice(v),
-                        ) {
-                            group_by_node(&mut remote, dst, (key, i));
+                        match self.relocated_access(key, |v| slot.copy_from_slice(v)) {
+                            Relocated::Local { waited } => {
+                                store_hits += 1;
+                                not_at_first_look += waited as u64;
+                            }
+                            Relocated::Remote(dst) => {
+                                not_at_first_look += 1;
+                                group_by_node(&mut remote, dst, (key, i));
+                            }
                         }
                         break;
                     }
                 }
             }
         }
+        let m = self.metrics();
+        m.add(|m| &m.replica_pulls, replica_hits);
+        m.add(|m| &m.local_pulls, replica_hits + store_hits);
         if remote.is_empty() {
-            return;
+            return not_at_first_look;
         }
 
         // One request per destination. Repeated keys within a destination
@@ -382,37 +374,41 @@ impl NupsWorker {
                 outstanding -= 1;
             }
         }
+        not_at_first_look
     }
 
     /// Push `keys`, grouped like [`NupsWorker::pull_many_batched`].
     fn push_many_batched(&mut self, keys: &[Key], deltas: &[f32]) {
         let vl = self.shared.value_len;
         debug_assert_eq!(deltas.len(), keys.len() * vl);
+        self.shared.record_accesses(keys);
         let mut remote: Vec<(NodeId, Vec<(Key, usize)>)> = Vec::new();
+        let (mut replica_hits, mut store_hits) = (0u64, 0u64);
         for (i, &key) in keys.iter().enumerate() {
             let delta = &deltas[i * vl..(i + 1) * vl];
-            self.shared.record_access(key);
             loop {
                 match self.shared.technique.route(key) {
                     KeyRoute::Replicated(r) => {
-                        if self.push_replicated(r, key, delta) {
+                        if self.node.replicas.push(r, key, delta) {
+                            self.charge_shared_memory();
+                            replica_hits += 1;
                             break;
                         }
                         std::thread::yield_now();
                     }
                     KeyRoute::Relocated => {
-                        if let Some(dst) = self.relocated_local_or_dst(
-                            key,
-                            |m| &m.local_pushes,
-                            |v| add_assign(v, delta),
-                        ) {
-                            group_by_node(&mut remote, dst, (key, i));
+                        match self.relocated_access(key, |v| add_assign(v, delta)) {
+                            Relocated::Local { .. } => store_hits += 1,
+                            Relocated::Remote(dst) => group_by_node(&mut remote, dst, (key, i)),
                         }
                         break;
                     }
                 }
             }
         }
+        let m = self.metrics();
+        m.add(|m| &m.replica_pushes, replica_hits);
+        m.add(|m| &m.local_pushes, replica_hits + store_hits);
         if remote.is_empty() {
             return;
         }
@@ -486,13 +482,7 @@ impl PsWorker for NupsWorker {
     }
 
     fn pull_many(&mut self, keys: &[Key], out: &mut [f32]) {
-        if keys.is_empty() {
-            return;
-        }
-        // One histogram sample per operation, whatever its key count.
-        let wall = std::time::Instant::now();
-        self.pull_many_batched(keys, out);
-        self.shared.obs.hists.pull.record(wall.elapsed().as_nanos() as u64);
+        self.pull_many_timed(keys, out);
     }
 
     fn push_many(&mut self, keys: &[Key], deltas: &[f32]) {
@@ -543,8 +533,8 @@ impl PsWorker for NupsWorker {
     fn charge_compute(&mut self, flops: u64) {
         let c = self.pricing().compute(flops);
         self.clock.advance(c);
-        let shared = Arc::clone(&self.shared);
-        self.shared.gate.poll(self.clock.now(), || shared.merge_step());
+        let shared = &self.shared;
+        shared.gate.poll(self.clock.now(), || shared.merge_step());
     }
 
     fn prepare_sample(&mut self, dist: DistId, n: usize) -> SampleHandle {
@@ -634,8 +624,8 @@ impl PsWorker for NupsWorker {
     }
 
     fn end_epoch(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        self.shared.gate.leave(|| shared.merge_step());
+        let shared = &self.shared;
+        shared.gate.leave(|| shared.merge_step());
     }
 
     fn now(&self) -> SimTime {
@@ -644,9 +634,75 @@ impl PsWorker for NupsWorker {
 }
 
 impl NupsWorker {
+    /// [`PsWorker::pull_many`] with its histogram sample — one per
+    /// operation, whatever its key count — returning
+    /// [`NupsWorker::pull_many_batched`]'s first-look miss count.
+    fn pull_many_timed(&mut self, keys: &[Key], out: &mut [f32]) -> u64 {
+        if keys.is_empty() {
+            return 0;
+        }
+        let wall = std::time::Instant::now();
+        let not_at_first_look = self.pull_many_batched(keys, out);
+        self.shared.obs.hists.pull.record(wall.elapsed().as_nanos() as u64);
+        not_at_first_look
+    }
+
     /// Advance this worker's clock by an explicit duration (tests and
     /// calibration harnesses).
     pub fn advance_clock_by(&mut self, d: SimDuration) {
         self.clock.advance(d);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NupsConfig;
+    use crate::system::ParameterServer;
+    use nups_sim::cost::CostModel;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Section 3.2 as code: an access served from shared memory takes the
+    /// value's own latch (replica slot or store shard) and no other lock.
+    /// Every other lock on the way — the technique map's, the replica
+    /// table's growth lock, the node-wide clip state — is held here for
+    /// the whole call, so an access that touched one would never return.
+    #[test]
+    fn shared_memory_accesses_take_only_the_value_latch() {
+        let cfg = NupsConfig::single_node(1, 16, 2)
+            .with_replicated_keys(vec![1, 9])
+            .with_cost(CostModel::zero());
+        let ps = ParameterServer::new(cfg, |k, v| v.fill(k as f32));
+        let mut w = ps.worker(WorkerId { node: NodeId(0), local: 0 });
+        let (shared, node) = (Arc::clone(&w.shared), Arc::clone(&w.node));
+
+        // Replicated, local, and one of each again.
+        let keys = [1u64, 4, 9, 12, 1, 4];
+        let (done_tx, done_rx) = mpsc::channel();
+        let accesses = {
+            let technique_lock = shared.technique.hold_writer_lock();
+            let replica_locks = node.replicas.hold_growth_and_clip_locks();
+            let accesses = std::thread::spawn(move || {
+                let mut out = vec![0.0f32; keys.len() * 2];
+                w.pull_many(&keys, &mut out);
+                w.push_many(&keys, &vec![1.0f32; keys.len() * 2]);
+                w.pull_many(&keys, &mut out);
+                let _ = done_tx.send(out);
+            });
+            let out = done_rx.recv_timeout(Duration::from_secs(10));
+            // Release before joining, so a blocked access ends the test
+            // with the assertion below rather than a hang.
+            drop((technique_lock, replica_locks));
+            accesses.join().expect("worker thread panicked");
+            out
+        };
+        let out = accesses.expect("a shared-memory access waited on a lock other than its latch");
+        // Keys 1 and 4 were pushed twice in the batch.
+        assert_eq!(out, [3.0, 3.0, 6.0, 6.0, 10.0, 10.0, 13.0, 13.0, 3.0, 3.0, 6.0, 6.0]);
+        let m = ps.metrics();
+        assert_eq!((m.replica_pulls, m.local_pulls), (6, 12));
+        assert_eq!((m.replica_pushes, m.local_pushes), (3, 6));
+        ps.shutdown();
     }
 }

@@ -303,6 +303,18 @@ impl FreqSketch {
         self.total.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Record one access per entry of `keys` (a repeated key counts every
+    /// time it occurs): the rows per key, the total once for the call.
+    #[inline]
+    pub fn record_keys(&self, keys: &[u64]) {
+        for &key in keys {
+            let (i0, i1) = self.cells(key);
+            self.rows[0][i0].fetch_add(1, Ordering::Relaxed);
+            self.rows[1][i1].fetch_add(1, Ordering::Relaxed);
+        }
+        self.total.fetch_add(keys.len() as u64, Ordering::Relaxed);
+    }
+
     /// Estimated access count of `key` (an upper bound on the true count).
     #[inline]
     pub fn estimate(&self, key: u64) -> u64 {
@@ -421,6 +433,18 @@ mod tests {
         // Unrecorded keys mostly read zero at this load factor; at minimum
         // the estimate is bounded by the heaviest recorded key.
         assert!(s.estimate(100_000) <= 200);
+    }
+
+    #[test]
+    fn sketch_record_keys_equals_recording_each_key() {
+        let (batched, scalar) = (FreqSketch::new(8), FreqSketch::new(8));
+        let calls: [&[u64]; 4] = [&[3, 3, 900, 41], &[], &[7], &[41, 3, 3, 3, 12_345]];
+        for keys in calls {
+            batched.record_keys(keys);
+            keys.iter().for_each(|&k| scalar.record(k, 1));
+        }
+        assert_eq!(batched.total(), 10);
+        assert_eq!(batched.drain_sparse(), scalar.drain_sparse());
     }
 
     #[test]

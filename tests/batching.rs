@@ -178,3 +178,63 @@ fn localize_coalesces_intents_per_home_node() {
     assert_eq!(m.msgs_sent, 6, "2 localize messages + 4 transfers; no per-key localize traffic");
     ps.shutdown();
 }
+
+#[test]
+fn per_call_counters_equal_the_same_keys_issued_one_call_each() {
+    // The worker sums hit counters per call; the totals must be what the
+    // same accesses issued key by key leave behind. Keys 0..10 are homed
+    // at node 0 (the worker's), 10..20 at node 1; 1 and 11 are replicated.
+    let server = || {
+        let cfg = NupsConfig::nups(Topology::new(2, 1), 20, 2).with_replicated_keys(vec![1, 11]);
+        ParameterServer::new(zero_cost(cfg), |k, v| v.fill(k as f32))
+    };
+    // Replicated (one of them twice), local (twice), remote (twice), and
+    // key 13 / 14, which the caller localizes just before the call so the
+    // access finds it in flight or freshly installed.
+    let pulls = [1u64, 11, 2, 12, 13, 2, 12, 1];
+    let pushes = [1u64, 11, 2, 12, 14, 2, 12, 1];
+    let access_counters = |ps: &ParameterServer| {
+        let m = ps.metrics();
+        [
+            m.local_pulls,
+            m.replica_pulls,
+            m.remote_pulls,
+            m.local_pushes,
+            m.replica_pushes,
+            m.remote_pushes,
+        ]
+    };
+
+    let batched = server();
+    let mut w = batched.worker(WorkerId { node: NodeId(0), local: 0 });
+    let mut out = vec![0.0f32; pulls.len() * 2];
+    w.localize(&[13]);
+    w.pull_many(&pulls, &mut out);
+    w.localize(&[14]);
+    w.push_many(&pushes, &vec![1.0f32; pushes.len() * 2]);
+
+    let scalar = server();
+    let mut v = scalar.worker(WorkerId { node: NodeId(0), local: 0 });
+    v.localize(&[13]);
+    for (i, &key) in pulls.iter().enumerate() {
+        let mut one = [0.0f32; 2];
+        v.pull(key, &mut one);
+        assert_eq!(one, out[i * 2..(i + 1) * 2], "position {i} (key {key})");
+    }
+    v.localize(&[14]);
+    for &key in &pushes {
+        v.push(key, &[1.0; 2]);
+    }
+
+    // 3 replica + 2 local + 1 relocated-here hits, 2 remote, each way.
+    assert_eq!(access_counters(&batched), [6, 3, 2, 6, 3, 2]);
+    assert_eq!(access_counters(&batched), access_counters(&scalar));
+    let m = batched.metrics();
+    assert_eq!(
+        (m.local_pulls + m.remote_pulls, m.local_pushes + m.remote_pushes),
+        (pulls.len() as u64, pushes.len() as u64),
+        "every key is counted exactly once as local or remote"
+    );
+    batched.shutdown();
+    scalar.shutdown();
+}
