@@ -148,7 +148,7 @@ impl AdaptiveManager {
     /// Per-node deployments take the distributed branch instead: peers ship
     /// their sketch window to the leader, the leader scores from the merged
     /// view and broadcasts a plan; the plan's migrations execute on the
-    /// server threads, never under this gate.
+    /// servers, never under this gate.
     pub fn maybe_adapt(&self, shared: &Shared) -> SimDuration {
         let n = self.merges.fetch_add(1, Ordering::Relaxed) + 1;
         if !n.is_multiple_of(self.cfg.adapt_every.max(1)) {
@@ -322,10 +322,10 @@ fn post_server(shared: &Shared, src: NodeId, dst: NodeId, sent_at: SimTime, msg:
 ///
 /// In per-node deployments migrations cannot run under the sync gate — the
 /// gate only parks *this* node's workers. Instead the leader broadcasts a
-/// versioned [`Msg::AdaptPlan`] and every node's server thread applies it
-/// in plan order, fencing migrating keys so late-chasing traffic takes the
+/// versioned [`Msg::AdaptPlan`] and every node's server applies it in plan
+/// order, fencing migrating keys so late-chasing traffic takes the
 /// tombstone paths. This struct tracks where each node stands in that
-/// pipeline; all transitions happen on the server thread (or, for
+/// pipeline; all transitions happen in the server handler (or, for
 /// [`issue_plan`](DistState::issue_plan), under the leader's gate merge),
 /// serialized by the mutex.
 pub struct DistAdaptive {

@@ -155,7 +155,8 @@ pub enum Msg {
     /// ESSP: node `from` subscribes to eager maintenance of `keys`.
     SspSubscribe { from: NodeId, keys: Vec<Key> },
 
-    /// Shut a server loop down.
+    /// Shut an SSP server loop down. A NuPS server is stopped by dropping
+    /// its serve guard and journals this message as a bad frame.
     Stop,
 }
 

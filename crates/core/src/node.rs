@@ -21,7 +21,7 @@ use crate::technique::TechniqueMap;
 
 /// The location directory a home node keeps for its key range: current
 /// owner of every relocation-managed key homed here. Only the home node's
-/// server thread mutates it.
+/// server handler mutates it.
 pub struct Directory {
     base: Key,
     owners: Mutex<Vec<u16>>,

@@ -154,7 +154,7 @@ impl SlotTable {
 /// The slot table grows when the adaptive technique manager promotes a key
 /// past the current capacity; freed slots are cleared in place and reused.
 /// In-process deployments grow only at synchronization rendezvous (workers
-/// parked); per-node deployments mutate slots from the server thread while
+/// parked); per-node deployments mutate slots from the server handler while
 /// workers run, which is what the per-slot tenancy keys are for. Neither
 /// ever blocks an access to another slot: growth appends chunks and takes
 /// no lock an access takes.

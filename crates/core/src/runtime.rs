@@ -9,8 +9,9 @@
 //! * [`RuntimeClock`] — how time passes for one worker thread
 //!   (`now`/`advance`/`advance_to`).
 //! * [`Pricing`] — what an action costs on the runtime's timeline.
-//! * [`Fabric`]/[`Port`] — the message fabric (`bind`/`send`/`recv`); byte
-//!   accounting stays exact because frames are encoded either way.
+//! * [`Fabric`]/[`Port`] — the message fabric (`bind`/`send`/`recv`, and
+//!   `serve` for a port whose frames go to a handler); byte accounting
+//!   stays exact because frames are encoded either way.
 //! * [`Runtime`] — the backend handle tying them together, plus the
 //!   parking-based progress waits used by control-plane retry loops.
 //!
@@ -30,9 +31,12 @@
 //!
 //! Both backends run on the in-process channel fabric ([`SimFabric`]): the
 //! simulator's network *transport* is real (threads, channels, condvars) —
-//! only the time overlay differs. A future distributed backend would
-//! implement [`Fabric`] over sockets.
+//! only the time overlay differs. The wall-clock backend also runs one
+//! node per OS process on `nups_net::TcpFabric`, which implements
+//! [`Fabric`] over sockets; besides carrying frames, the fabric decides
+//! which thread runs a node's server handler ([`Fabric::serve`]).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -248,8 +252,10 @@ pub enum RecvOutcome {
 }
 
 /// The receiving half of one (node, port) address plus the ability to send
-/// — what workers and servers hold instead of a concrete [`Endpoint`].
-pub trait Port: Send {
+/// — what workers hold instead of a concrete [`Endpoint`]. One thread
+/// receives; any thread may send through a shared reference (which is how
+/// the guard of a served port wakes the thread serving it).
+pub trait Port: Send + Sync {
     fn addr(&self) -> Addr;
 
     /// Send `payload` from this port. Byte accounting happens in the
@@ -292,33 +298,98 @@ impl Port for Endpoint {
     }
 }
 
+/// What a served port does with each frame delivered to it.
+pub type FrameHandler = Box<dyn FnMut(Frame) + Send>;
+
+/// Ends a port's service when dropped: waits for the handler call in
+/// progress, then drops the handler (and whatever it owns — for a
+/// parameter server, its share of the node's state). Frames that arrive
+/// afterwards are dropped.
+pub struct ServeGuard(Option<Box<dyn FnOnce() + Send + Sync>>);
+
+impl ServeGuard {
+    /// `end` must not return before the handler has been dropped.
+    pub fn new(end: impl FnOnce() + Send + Sync + 'static) -> ServeGuard {
+        ServeGuard(Some(Box::new(end)))
+    }
+}
+
+impl Drop for ServeGuard {
+    fn drop(&mut self) {
+        if let Some(end) = self.0.take() {
+            end();
+        }
+    }
+}
+
 /// The cluster-wide message fabric: bind one [`Port`] per (node, port)
-/// address, or post a frame without owning a port (control plane).
+/// address, serve a port with a handler, or post a frame without owning a
+/// port (control plane, and everything a handler sends).
 ///
 /// **Ordering contract:** frames between the same (source node,
 /// destination node) pair must be delivered in the order they were
-/// sent/posted, regardless of destination port. Protocol correctness
-/// depends on it — e.g. the distributed finalize protocol takes a
-/// [`crate::messages::Msg::SyncFin`] as proof that the
+/// sent/posted, regardless of destination port, where *delivered* means
+/// queued on a bound port's inbox or handed to a served port's handler.
+/// Protocol correctness depends on it — e.g. the distributed finalize
+/// protocol takes a [`crate::messages::Msg::SyncFin`] as proof that the
 /// [`crate::messages::Msg::ReplicaDeltas`] posted before it were already
-/// delivered. The in-process channel fabric (one FIFO per inbox, senders
+/// handled. The in-process channel fabric (one FIFO per inbox, senders
 /// enqueue synchronously) and the TCP fabric (one ordered connection per
-/// directed node pair, demuxed by a single reader) both provide this; a
-/// future backend using multiple connections per pair would have to
-/// resequence.
+/// directed node pair, demuxed by a single reader that queues or handles
+/// each frame before it reads the next) both provide this; a backend
+/// using multiple connections per pair would have to resequence.
+///
+/// **Serving contract:** a served port's handler runs one call at a time,
+/// on a thread the fabric chooses, and sees each source node's frames in
+/// the order above. A frame the handler posts to its own port is handled
+/// after the current call returns, never inside it. A handler must not
+/// block on anything another frame would have to resolve.
 pub trait Fabric: Send + Sync {
     /// Take ownership of the receiving side of `addr`. Panics if the
     /// address was already bound: each inbox has exactly one owner.
     fn bind(&self, addr: Addr) -> Box<dyn Port>;
 
-    /// Inject a frame directly (shutdown signals, rendezvous-side sends).
+    /// Inject a frame directly (rendezvous-side sends, handler replies).
     fn post(&self, frame: Frame);
 
-    /// Tear the fabric down: close peer connections and unblock every
-    /// reader ([`Port::recv`] returns `None`, [`Port::recv_deadline`]
-    /// returns [`RecvOutcome::Closed`]). The in-process fabric has nothing
-    /// to tear down — its channels disconnect when the senders drop — so
-    /// the default is a no-op; socket-backed fabrics override it.
+    /// Hand every frame that arrives at `addr` to `handler` until the
+    /// returned guard is dropped. The fabric decides which thread delivers:
+    /// this default binds the port and runs one thread named
+    /// `nups-server-<node>` that receives and calls the handler, frame by
+    /// frame; a fabric whose own threads already hold each frame (the TCP
+    /// fabric's link readers) runs the handler on those instead.
+    fn serve(&self, addr: Addr, mut handler: FrameHandler) -> ServeGuard {
+        let port: Arc<dyn Port> = Arc::from(self.bind(addr));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (serving, stopping) = (Arc::clone(&port), Arc::clone(&stop));
+        let thread = std::thread::Builder::new()
+            .name(format!("nups-server-{}", addr.node))
+            .spawn(move || {
+                while let Some(frame) = serving.recv() {
+                    // The guard's wake-up: an empty frame that counts only
+                    // once the guard raised the flag, so no frame from
+                    // outside the process can end the service.
+                    if frame.payload.is_empty() && stopping.load(Ordering::Acquire) {
+                        break;
+                    }
+                    handler(frame);
+                }
+            })
+            .expect("spawn server thread");
+        ServeGuard::new(move || {
+            stop.store(true, Ordering::Release);
+            port.send(addr, SimTime::ZERO, bytes::Bytes::new());
+            // A handler panic already reported itself on that thread.
+            let _ = thread.join();
+        })
+    }
+
+    /// Tear the fabric down: close peer connections, end every service and
+    /// unblock every reader ([`Port::recv`] returns `None`,
+    /// [`Port::recv_deadline`] returns [`RecvOutcome::Closed`]). The
+    /// in-process fabric has nothing to tear down — its channels
+    /// disconnect when the senders drop — so the default is a no-op;
+    /// socket-backed fabrics override it.
     fn shutdown(&self) {}
 }
 

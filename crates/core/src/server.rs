@@ -1,13 +1,26 @@
-//! The per-node server loop.
+//! The per-node server handler.
 //!
-//! One server thread per node demultiplexes protocol messages: remote
+//! One [`Server`] per node demultiplexes protocol messages: remote
 //! pulls/pushes (forwarding them along the ownership chain when the key
-//! moved), the three-message Lapse relocation protocol, and shutdown. A
-//! single-key access is a batch of one, so every protocol rule lives in
-//! one handler per operation. The server never blocks on a parameter:
-//! operations against in-flight keys are parked on the store entry and
-//! answered when the transfer installs, which keeps the loop live and the
-//! per-key operation order sequential.
+//! moved), the three-message Lapse relocation protocol, and the
+//! distributed adaptation plans. A single-key access is a batch of one, so
+//! every protocol rule lives in one handler per operation.
+//!
+//! The server owns no thread and no port. [`Server::on_frame`] is the
+//! handler the node's server address is served with
+//! ([`crate::runtime::Fabric::serve`]): the fabric runs it one call at a
+//! time, on whichever thread delivers the frame — a dedicated
+//! `nups-server-<node>` thread on the in-process fabric, the inbound
+//! link's reader (or the local poster) on the TCP fabric — and ending the
+//! service is the serve guard's job, not a message's. Everything the
+//! server sends goes out through [`crate::runtime::Fabric::post`]; a frame
+//! it posts to its own address (a stray delta folded at home, a self-ack)
+//! is handled after the current call returns.
+//!
+//! The handler never blocks on a parameter: operations against in-flight
+//! keys are parked on the store entry and answered when the transfer
+//! installs, which keeps the delivering thread live and the per-key
+//! operation order sequential.
 //!
 //! Frames arrive from outside the process: one that does not decode, or
 //! that decodes to a message no server expects, is journaled as a
@@ -16,6 +29,7 @@
 use std::sync::Arc;
 
 use nups_sim::codec::WireEncode;
+use nups_sim::net::Frame;
 use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId};
 use nups_sim::trace::actor;
@@ -24,7 +38,6 @@ use crate::adaptive::ADAPT_LEADER;
 use crate::key::Key;
 use crate::messages::{KeyUpdate, Msg};
 use crate::node::{NodeState, Shared};
-use crate::runtime::Port;
 use crate::store::{PromoteTake, QueuedOp, TakeOutcome};
 
 /// Append `item` to `dst`'s group, keeping one group per destination in
@@ -37,41 +50,26 @@ pub(crate) fn group_by_node<T>(groups: &mut Vec<(NodeId, Vec<T>)>, dst: NodeId, 
     }
 }
 
-/// What the server loop does after one message.
-enum Handled {
-    Continue,
-    Stop,
-    /// Well-formed, but not a message a relocation server accepts.
-    Unexpected,
-}
-
 pub struct Server {
     shared: Arc<Shared>,
     state: Arc<NodeState>,
-    endpoint: Box<dyn Port>,
 }
 
 impl Server {
-    pub fn new(shared: Arc<Shared>, state: Arc<NodeState>, endpoint: Box<dyn Port>) -> Server {
-        Server { shared, state, endpoint }
+    pub fn new(shared: Arc<Shared>, state: Arc<NodeState>) -> Server {
+        Server { shared, state }
     }
 
-    /// Run until a `Stop` message arrives or the network shuts down.
-    pub fn run(mut self) {
-        while let Some(frame) = self.endpoint.recv() {
-            let mut payload = frame.payload;
-            let (tag, len) = (payload.first().copied().unwrap_or(0), payload.len());
-            let handled = match Msg::decode(&mut payload) {
-                Ok(msg) => self.handle(msg, frame.sent_at),
-                Err(_) => Handled::Unexpected,
-            };
-            match handled {
-                Handled::Continue => {}
-                Handled::Stop => break,
-                Handled::Unexpected => {
-                    self.journal(frame.sent_at, "bad_frame", tag as u64, len as u64)
-                }
-            }
+    /// Handle one frame delivered to this node's server address.
+    pub fn on_frame(&mut self, frame: Frame) {
+        let mut payload = frame.payload;
+        let (tag, len) = (payload.first().copied().unwrap_or(0), payload.len());
+        let accepted = match Msg::decode(&mut payload) {
+            Ok(msg) => self.handle(msg, frame.sent_at),
+            Err(_) => false,
+        };
+        if !accepted {
+            self.journal(frame.sent_at, "bad_frame", tag as u64, len as u64);
         }
     }
 
@@ -80,7 +78,8 @@ impl Server {
     }
 
     fn send(&mut self, dst: Addr, at: SimTime, msg: &Msg) {
-        self.endpoint.send(dst, at, msg.to_bytes());
+        let src = Addr::server(self.me());
+        self.shared.fabric.post(Frame { src, dst, sent_at: at, payload: msg.to_bytes() });
     }
 
     /// Journal one instant event in this node's server lane. `at` is the
@@ -91,7 +90,8 @@ impl Server {
         self.shared.obs.event(at, self.me().0, actor::SERVER, name, a, b);
     }
 
-    fn handle(&mut self, msg: Msg, at: SimTime) -> Handled {
+    /// `false` for a well-formed message no relocation server accepts.
+    fn handle(&mut self, msg: Msg, at: SimTime) -> bool {
         match msg {
             Msg::ForwardLocalize { key, requester } => {
                 self.handle_forward_localize(key, requester, at)
@@ -127,10 +127,9 @@ impl Server {
             // the reply address: demotion residues and stray sync deltas
             // folded at the home. Their acks land here.
             Msg::PushBatchAck { keys, .. } => return self.handle_self_ack(keys.len(), at),
-            Msg::Stop => return Handled::Stop,
-            _ => return Handled::Unexpected,
+            _ => return false,
         }
-        Handled::Continue
+        true
     }
 
     /// Resolve where an operation on `key` should go when we do not own
@@ -153,7 +152,7 @@ impl Server {
         let mut value = vec![0.0; self.shared.value_len];
         if !self.state.replicas.pull(slot, key, &mut value) {
             // The slot is sealed or re-keyed: a demotion is mid-flight on
-            // this very thread's message stream. The caller re-routes via
+            // this very server's message stream. The caller re-routes via
             // the home, which holds (or is about to hold) the key.
             return None;
         }
@@ -449,7 +448,7 @@ impl Server {
     // Distributed adaptive technique management (see `crate::adaptive`).
     //
     // The leader broadcasts a versioned `AdaptPlan`; every node's server
-    // thread applies plans in epoch order. Demotions execute immediately
+    // applies plans in epoch order. Demotions execute immediately
     // (the replica slot is sealed, so late keyed accesses fail over to the
     // home). Promotions run through the regular relocation machinery: the
     // key's home fences it, acquires the value by chasing the ownership
@@ -808,9 +807,9 @@ impl Server {
     /// residues or home-folded stray deltas, one key each): `acked` fewer
     /// outstanding acknowledgements. Without adaptive state this server
     /// issued no such push, so the ack is a stray frame.
-    fn handle_self_ack(&mut self, acked: usize, at: SimTime) -> Handled {
+    fn handle_self_ack(&mut self, acked: usize, at: SimTime) -> bool {
         let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else { return Handled::Unexpected };
+        let Some(dist) = shared.dist_adaptive.as_ref() else { return false };
         {
             let mut st = dist.state();
             debug_assert!(st.acks_outstanding >= acked, "unsolicited push ack at server port");
@@ -818,6 +817,6 @@ impl Server {
         }
         self.maybe_plan_ack(at);
         self.shared.runtime.notify_progress();
-        Handled::Continue
+        true
     }
 }

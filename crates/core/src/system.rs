@@ -2,7 +2,6 @@
 //! orchestration helpers, evaluation access, and shutdown.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use nups_sim::clock::ClusterClocks;
 use nups_sim::metrics::{ClusterMetrics, MetricsSnapshot};
@@ -19,7 +18,7 @@ use crate::key::{Key, KeySpace};
 use crate::messages::{KeyUpdate, Msg};
 use crate::node::{Directory, NodeState, Shared};
 use crate::replication::{ReplicaSet, ReplicaSync};
-use crate::runtime::{build_runtime, Backend, Fabric, RecvOutcome, SimFabric};
+use crate::runtime::{build_runtime, Backend, Fabric, RecvOutcome, ServeGuard, SimFabric};
 use crate::sampling::scheme::SamplingScheme;
 use crate::sampling::{ConformityLevel, DistId, Distribution, DistributionKind};
 use crate::server::Server;
@@ -32,13 +31,13 @@ use crate::worker::NupsWorker;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Deployment {
     /// Every node of the topology lives in this process (the default):
-    /// server threads for all nodes, workers for all nodes, and replica
+    /// servers for all nodes, workers for all nodes, and replica
     /// synchronization as an in-process merge.
     #[default]
     AllInProcess,
     /// This process hosts exactly one node; its peers are separate OS
     /// processes reached through the fabric (e.g. the TCP fabric). Only
-    /// the local node's server thread and workers run here, and replica
+    /// the local node's server and workers run here, and replica
     /// synchronization broadcasts real [`Msg::ReplicaDeltas`] messages.
     SingleNode(NodeId),
 }
@@ -76,7 +75,9 @@ pub struct ParameterServer {
     shared: Arc<Shared>,
     config: NupsConfig,
     deployment: Deployment,
-    servers: Vec<JoinHandle<()>>,
+    /// One per locally hosted node: its server address stays served until
+    /// the guard drops.
+    servers: Vec<ServeGuard>,
 }
 
 impl ParameterServer {
@@ -228,16 +229,9 @@ impl ParameterServer {
             .nodes()
             .filter(|node| deployment.is_local(*node))
             .map(|node| {
-                let endpoint = shared.fabric.bind(Addr::server(node));
-                let server = Server::new(
-                    Arc::clone(&shared),
-                    Arc::clone(&shared.nodes[node.index()]),
-                    endpoint,
-                );
-                std::thread::Builder::new()
-                    .name(format!("nups-server-{node}"))
-                    .spawn(move || server.run())
-                    .expect("spawn server thread")
+                let mut server =
+                    Server::new(Arc::clone(&shared), Arc::clone(&shared.nodes[node.index()]));
+                shared.fabric.serve(Addr::server(node), Box::new(move |f| server.on_frame(f)))
             })
             .collect();
 
@@ -679,7 +673,7 @@ impl ParameterServer {
         });
     }
 
-    /// Stop the server threads. Called automatically on drop.
+    /// Stop serving. Called automatically on drop.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -688,17 +682,10 @@ impl ParameterServer {
         if self.servers.is_empty() {
             return;
         }
-        for node in self.config.topology.nodes().filter(|n| self.deployment.is_local(*n)) {
-            self.shared.fabric.post(Frame {
-                src: Addr::server(node),
-                dst: Addr::server(node),
-                sent_at: SimTime::ZERO,
-                payload: Msg::Stop.to_bytes(),
-            });
-        }
-        for h in self.servers.drain(..) {
-            let _ = h.join();
-        }
+        // Each guard waits for its handler's call in progress and drops
+        // the handler — and with it the server's hold on `shared`, which
+        // holds the fabric the handler is registered with.
+        self.servers.clear();
         // Per-node deployments own their fabric: tear the connections down
         // so peer readers unblock (the in-process fabric's default is a
         // no-op).
@@ -758,6 +745,20 @@ mod tests {
         assert_eq!(buf, vec![4.0; 4]);
         assert_eq!(ps.read_value(3), vec![4.0; 4]);
         ps.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drops_the_servers_hold_on_the_shared_state() {
+        let topo = Topology::new(2, 1);
+        let ps =
+            ParameterServer::new(zero_cost(NupsConfig::classic(topo, 10, 2)), |_, v| v.fill(1.0));
+        let shared = Arc::downgrade(&ps.shared);
+        let mut w0 = ps.worker(WorkerId { node: NodeId(0), local: 0 });
+        let mut buf = vec![0.0; 2];
+        w0.pull(7, &mut buf); // node 1's handler has run
+        drop(w0);
+        ps.shutdown();
+        assert!(shared.upgrade().is_none(), "a handler outlived its serve guard");
     }
 
     #[test]

@@ -291,7 +291,7 @@ impl NupsWorker {
                             break;
                         }
                         // The slot no longer holds `key`: a demotion on
-                        // the server thread sealed it after the route
+                        // the server sealed it after the route
                         // load; the route flips within the same plan step.
                         std::thread::yield_now();
                     }

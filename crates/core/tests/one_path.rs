@@ -205,14 +205,17 @@ fn hostile_frames_are_journaled_and_the_server_stays_up() {
     assert_eq!(bad(), expected, "one (tag, length) record per dropped frame");
 
     // A message that decodes but that no relocation server accepts is
-    // dropped the same way.
-    let stray = Msg::SspBroadcast { updates: Vec::new() }.to_bytes().to_vec();
-    let stray_record = (stray[0] as u64, stray.len() as u64);
-    post(stray);
-    w0.push_many(&keys, &[1.0; 2 * VALUE_LEN]);
-    assert_eq!(bad().last(), Some(&stray_record));
-    assert_eq!(bad().len(), 4);
+    // dropped the same way — `Stop` included: ending a server's service
+    // is its serve guard's job, not something a frame can ask for.
+    for stray in [Msg::SspBroadcast { updates: Vec::new() }, Msg::Stop] {
+        let stray = stray.to_bytes().to_vec();
+        let stray_record = (stray[0] as u64, stray.len() as u64);
+        post(stray);
+        w0.push_many(&keys, &[1.0; 2 * VALUE_LEN]);
+        assert_eq!(bad().last(), Some(&stray_record));
+    }
+    assert_eq!(bad().len(), 5);
     drop(w0);
-    assert_eq!(ps.read_value(keys[0]), vec![keys[0] as f32 + 1.0; VALUE_LEN]);
+    assert_eq!(ps.read_value(keys[0]), vec![keys[0] as f32 + 2.0; VALUE_LEN]);
     ps.shutdown();
 }

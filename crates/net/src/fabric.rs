@@ -1,13 +1,52 @@
 //! The TCP fabric: [`nups_core::runtime::Fabric`] over real sockets.
 //!
 //! One fabric instance is one node's view of the cluster. For every peer
-//! it holds one *outbound* connection driven by a dedicated writer thread
-//! behind a bounded frame queue (backpressure instead of unbounded memory
-//! when a peer stalls), and one *inbound* connection drained by a reader
-//! thread that reassembles frames ([`crate::frame`]) and demultiplexes
-//! them into per-port inboxes — exactly the (node, port) mailbox shape the
-//! in-process [`nups_sim::net::Network`] provides, so `nups-core` runs on
-//! either without knowing which.
+//! it holds one *outbound* connection and one *inbound* connection, and
+//! frames addressed to a (node, port) of this node end up in one of two
+//! places: on the inbox of a *bound* port, where the port's owner (a
+//! worker, the finalize control loop) parks in `recv`, or in the handler
+//! of a *served* port (the node's parameter server) — exactly the
+//! mailbox shape the in-process [`nups_sim::net::Network`] provides, so
+//! `nups-core` runs on either without knowing which.
+//!
+//! # Threads
+//!
+//! A process with `n - 1` peers runs `n - 1` reader threads
+//! (`nups-net-rx-<node>`, one per inbound link), `n - 1` writer threads
+//! (`nups-net-tx-<node>-to-<peer>`, one per outbound link) and the
+//! application's workers. There is no server thread:
+//!
+//! * A **reader** reassembles frames ([`crate::frame`]) and delivers each
+//!   one before it reads the next: onto a bound port's inbox, or — for a
+//!   served port — straight into the handler, so a peer's request is
+//!   decoded, served and answered on the thread that read it. A worker
+//!   that posts to its own node's served port runs the handler the same
+//!   way, on its own thread. Delivery to a served port is a combiner:
+//!   enqueue on the port's queue, `try_lock` the handler, and the winner
+//!   drains the queue until it is empty (re-checking after it unlocks).
+//!   One handler call runs at a time, each source's frames are handled in
+//!   arrival order, and a frame a handler posts to its own port is
+//!   handled after the current call returns.
+//! * A **sender** (any thread that posts a frame for a peer) writes it
+//!   inline when the link's wire lock is free, and otherwise queues it
+//!   for whoever holds the wire ([`Link::send`]).
+//! * A **writer** is its link's backstop, and the only thread that ever
+//!   blocks on a socket.
+//!
+//! # Who may block on what
+//!
+//! Outbound sockets are non-blocking. An inline or combining write that
+//! fills the socket parks the batch on the link, with how far it got, and
+//! wakes the writer, which alone switches the socket to blocking — under
+//! the wire lock every write happens under — to finish it. That is what lets
+//! a reader run handlers: were it to block in a reply's `write`, it would
+//! stop draining its own link, and two nodes answering each other's large
+//! batches would wedge with both socket buffers full. For the same reason
+//! a thread inside a handler never waits on the bound of a send queue;
+//! its frames queue past the bound (the memory the unbounded server inbox
+//! used to hold). Workers outside a handler do wait there: backpressure
+//! instead of unbounded memory when a peer stalls. Readers block only in
+//! `read`, workers in `recv` on their own inbox.
 //!
 //! Frames addressed to the local node never touch a socket (the paper
 //! co-locates servers and workers in one process; intra-node traffic is
@@ -15,14 +54,17 @@
 //! simulated fabric's accounting.
 //!
 //! Bytes off a socket never take the node down: a frame for a port nobody
-//! could bind, or a stream that stops parsing as frames, is journaled as a
-//! `bad_frame` event and dropped (the latter together with its link).
+//! could bind, a reply addressed to a node this fabric has no link to, or
+//! a stream that stops parsing as frames, is journaled as a `bad_frame`
+//! event and dropped (the last together with its link).
 //!
 //! Shutdown is cooperative and total: closing the fabric closes the send
 //! queues (writers drain what was already queued, then the sockets close),
-//! unblocks every reader, and marks every inbox closed so blocked
-//! [`Port::recv`] calls return `None` instead of hanging a process.
+//! unblocks every reader, marks every inbox closed so blocked
+//! [`Port::recv`] calls return `None` instead of hanging a process, and
+//! drops every served port's handler once its call in progress returned.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
@@ -33,7 +75,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use nups_core::runtime::{Fabric, Port, RecvOutcome};
+use nups_core::runtime::{Fabric, FrameHandler, Port, RecvOutcome, ServeGuard};
 use nups_sim::hist::OpHists;
 use nups_sim::metrics::{ClusterMetrics, Metrics};
 use nups_sim::net::Frame;
@@ -41,7 +83,7 @@ use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId, Topology};
 use nups_sim::trace::{actor, Observability};
 
-use crate::frame::{read_frame_pooled, write_batch, FrameError, ReadError};
+use crate::frame::{read_frame_pooled, write_batch_from, FrameError, ReadError};
 use crate::pool::BufferPool;
 
 /// Reserved port for fabric-internal control frames (the bootstrap
@@ -57,22 +99,39 @@ const SEND_QUEUE_FRAMES: usize = 1024;
 /// read syscalls at this size, and one buffer per inbound link is cheap.
 const READ_BUF_BYTES: usize = 64 << 10;
 
+thread_local! {
+    /// Whether this thread is running a served port's handler right now.
+    /// Such a thread must not wait for a peer (see the module docs).
+    static IN_HANDLER: Cell<bool> = const { Cell::new(false) };
+}
+
 struct InboxState {
     queue: VecDeque<Frame>,
     closed: bool,
     bound: bool,
+    /// Frames go to [`Inbox::handler`], not to a receiver parked on `cv`.
+    served: bool,
 }
 
 struct Inbox {
     state: Mutex<InboxState>,
     cv: Condvar,
+    /// A served port's handler. Whoever holds this lock is the one thread
+    /// running it.
+    handler: Mutex<Option<FrameHandler>>,
 }
 
 impl Inbox {
     fn new() -> Inbox {
         Inbox {
-            state: Mutex::new(InboxState { queue: VecDeque::new(), closed: false, bound: false }),
+            state: Mutex::new(InboxState {
+                queue: VecDeque::new(),
+                closed: false,
+                bound: false,
+                served: false,
+            }),
             cv: Condvar::new(),
+            handler: Mutex::new(None),
         }
     }
 
@@ -82,16 +141,56 @@ impl Inbox {
             return;
         }
         st.queue.push_back(frame);
+        let served = st.served;
         drop(st);
-        // Each (node, port) inbox has exactly one consumer (`bind` hands
-        // out the single owner), so one wakeup per frame suffices; only
-        // `close` below must reach every parked waiter.
-        self.cv.notify_one();
+        if served {
+            self.dispatch();
+        } else {
+            // Each bound (node, port) inbox has exactly one consumer
+            // (`bind` hands out the single owner), so one wakeup per frame
+            // suffices; only `close` below must reach every parked waiter.
+            self.cv.notify_one();
+        }
     }
 
+    /// Run a served port's handler over everything queued, on this thread,
+    /// unless another thread is already doing so — then the frame just
+    /// queued is that thread's to handle: it drains until the queue is
+    /// empty and looks once more after giving the handler up, which
+    /// catches a frame queued between its last look and its unlock. A
+    /// handler posting to its own port lands in the same `try_lock`
+    /// failure, so its frame waits for the current call to return.
+    fn dispatch(&self) {
+        loop {
+            let Some(mut handler) = self.handler.try_lock() else { return };
+            let Some(call) = handler.as_mut() else { return };
+            let outer = IN_HANDLER.replace(true);
+            loop {
+                let next = self.state.lock().queue.pop_front();
+                match next {
+                    Some(frame) => call(frame),
+                    None => break,
+                }
+            }
+            IN_HANDLER.set(outer);
+            drop(handler);
+            if self.state.lock().queue.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Stop taking frames, wake every parked receiver, and end a served
+    /// port's service: wait for the handler call in progress, then drop
+    /// the handler.
     fn close(&self) {
         self.state.lock().closed = true;
         self.cv.notify_all();
+        let handler = self.handler.lock().take();
+        // Dropped with no lock held: the handler may own the last
+        // reference to whatever owns this fabric.
+        drop(handler);
+        self.state.lock().queue.clear();
     }
 }
 
@@ -100,6 +199,9 @@ struct SendQueueState {
     /// long it sat waiting for the wire (the `queue_wait` histogram).
     queue: VecDeque<(Instant, Frame)>,
     closed: bool,
+    /// The wire holds a parked batch ([`Wire::parked`]): work for the
+    /// writer thread even while the queue is empty.
+    parked: bool,
 }
 
 /// Bounded MPSC frame queue feeding one peer's writer thread.
@@ -112,18 +214,24 @@ struct SendQueue {
 impl SendQueue {
     fn new() -> SendQueue {
         SendQueue {
-            state: Mutex::new(SendQueueState { queue: VecDeque::new(), closed: false }),
+            state: Mutex::new(SendQueueState {
+                queue: VecDeque::new(),
+                closed: false,
+                parked: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// Enqueue, blocking while the queue is full. Frames offered after
-    /// close are dropped (shutdown races lose messages by design, exactly
-    /// like the channel fabric).
+    /// Enqueue, blocking while the queue is full — unless this thread is
+    /// inside a handler, which must not wait for a peer and queues past
+    /// the bound instead. Frames offered after close are dropped (shutdown
+    /// races lose messages by design, exactly like the channel fabric).
     fn push(&self, frame: Frame) {
+        let may_wait = !IN_HANDLER.get();
         let mut st = self.state.lock();
-        while !st.closed && st.queue.len() >= SEND_QUEUE_FRAMES {
+        while may_wait && !st.closed && st.queue.len() >= SEND_QUEUE_FRAMES {
             self.not_full.wait(&mut st);
         }
         if st.closed {
@@ -134,26 +242,26 @@ impl SendQueue {
         self.not_empty.notify_one();
     }
 
-    /// Block until at least one frame is queued; `false` once closed
-    /// *and* drained (the writer flushes everything accepted before
-    /// close). `parked` counts the condvar waits actually performed,
-    /// i.e. genuine writer wakeups.
-    fn wait_nonempty(&self, parked: &mut u64) -> bool {
+    /// Block until there is work for the writer thread — a queued frame or
+    /// a parked batch; `false` once closed *and* out of work (the writer
+    /// flushes everything accepted before close). `waits` counts the
+    /// condvar waits actually performed, i.e. genuine writer wakeups.
+    fn wait_for_work(&self, waits: &mut u64) -> bool {
         let mut st = self.state.lock();
         loop {
-            if !st.queue.is_empty() {
+            if !st.queue.is_empty() || st.parked {
                 return true;
             }
             if st.closed {
                 return false;
             }
-            *parked += 1;
+            *waits += 1;
             self.not_empty.wait(&mut st);
         }
     }
 
-    /// Drain *everything* queued into `out`; never blocks. The writer
-    /// wakes once per burst, not once per frame. Each drained frame's
+    /// Drain *everything* queued into `out`; never blocks. Whoever flushes
+    /// does so once per burst, not once per frame. Each drained frame's
     /// time-in-queue lands in the `queue_wait` histogram.
     fn drain(&self, out: &mut Vec<Frame>, hists: &OpHists) {
         let mut st = self.state.lock();
@@ -171,6 +279,15 @@ impl SendQueue {
         self.not_full.notify_all();
     }
 
+    /// Record whether the wire holds a parked batch; setting it wakes the
+    /// writer thread.
+    fn set_parked(&self, parked: bool) {
+        self.state.lock().parked = parked;
+        if parked {
+            self.not_empty.notify_one();
+        }
+    }
+
     fn close(&self) {
         self.state.lock().closed = true;
         self.not_empty.notify_all();
@@ -178,14 +295,24 @@ impl SendQueue {
     }
 }
 
-/// One outbound link's send state, shared by the protocol threads that
-/// post frames and the link's writer thread.
+/// One outbound socket and what it could not take yet.
+struct Wire {
+    /// Non-blocking, except while the writer thread finishes `parked`.
+    stream: TcpStream,
+    /// A batch the socket had room for only up to this byte offset of its
+    /// stream. Nothing else may be written until the writer thread has
+    /// put the rest out.
+    parked: Option<(Vec<Frame>, usize)>,
+}
+
+/// One outbound link's send state, shared by the threads that post frames
+/// and the link's writer thread.
 struct Link {
     queue: SendQueue,
-    /// The socket, owned by whoever is currently flushing to it: the
-    /// writer thread for queued bursts, a sending thread for inline
-    /// writes. Lock order is always wire, then `queue.state`.
-    wire: Mutex<TcpStream>,
+    /// The socket, owned by whoever is currently flushing to it: a sending
+    /// thread for inline writes, the writer thread for what those left
+    /// behind. Lock order is always wire, then `queue.state`.
+    wire: Mutex<Wire>,
 }
 
 impl Link {
@@ -200,72 +327,110 @@ impl Link {
     /// the current combiner usually picks it up on its next drain, and
     /// the writer thread covers the race where it does not.
     ///
-    /// FIFO safety: every frame goes through the queue, and the queue is
-    /// only drained while the wire lock is held, so frames reach the
-    /// socket exactly in queue order.
+    /// The caller never blocks on the socket: a batch the socket has no
+    /// room for is parked for the writer thread ([`Link::flush`]).
+    ///
+    /// FIFO safety: a parked batch goes out before anything else, every
+    /// other frame goes through the queue, and both are only touched while
+    /// the wire lock is held, so frames reach the socket exactly in send
+    /// order.
     fn send(&self, frame: Frame, pool: &BufferPool, m: &Metrics, hists: &OpHists) {
-        match self.wire.try_lock() {
-            Some(mut wire) => {
-                // Common case: nothing queued ahead of us — write the one
-                // frame straight from the stack, no queue round trip, no
-                // batch allocation. Otherwise join the queue behind the
-                // backlog and flush it all, oldest first.
-                {
-                    let mut st = self.queue.state.lock();
-                    if st.closed {
-                        return;
-                    }
-                    if !st.queue.is_empty() {
-                        st.queue.push_back((Instant::now(), frame));
-                        drop(st);
-                        self.combine(&mut wire, pool, m, hists);
-                        return;
-                    }
-                }
-                m.record_fabric_write(1);
-                let mut scratch = pooled_scratch(pool, m);
-                let flushing = Instant::now();
-                let res = write_batch(&mut *wire, std::slice::from_ref(&frame), &mut scratch);
-                hists.flush.record(flushing.elapsed().as_nanos() as u64);
-                pool.put(scratch);
-                if res.is_err() {
-                    // Peer gone: stop accepting frames so senders do not
-                    // block on a queue nobody drains.
-                    self.queue.close();
-                    return;
-                }
-                // Frames posted while we wrote ride out in our next batch
-                // instead of waiting for a writer-thread wakeup.
-                self.combine(&mut wire, pool, m, hists);
+        let Some(mut wire) = self.wire.try_lock() else { return self.queue.push(frame) };
+        // Common case: nothing ahead of us — write the one frame straight
+        // from the stack, no queue round trip, no batch allocation.
+        // Otherwise join the queue behind the backlog and flush it all,
+        // oldest first; behind a parked batch that is the writer thread's
+        // job, and it is already awake.
+        {
+            let mut st = self.queue.state.lock();
+            if st.closed {
+                return;
             }
-            None => self.queue.push(frame),
+            if wire.parked.is_some() || !st.queue.is_empty() {
+                st.queue.push_back((Instant::now(), frame));
+                drop(st);
+                if wire.parked.is_none() {
+                    self.combine(&mut wire, pool, m, hists);
+                }
+                return;
+            }
+        }
+        if self.flush(&mut wire, std::slice::from_ref(&frame), pool, m, hists) {
+            // Frames posted while we wrote ride out in our next batch
+            // instead of waiting for a writer-thread wakeup.
+            self.combine(&mut wire, pool, m, hists);
         }
     }
 
     /// Flush the queue until it is empty, as coalesced batches, while the
-    /// caller holds the wire lock. The no-backlog case never gets here
-    /// ([`Link::send`] checks first), so the Vec is not on the fast path.
-    fn combine(&self, wire: &mut TcpStream, pool: &BufferPool, m: &Metrics, hists: &OpHists) {
+    /// caller holds the wire lock and no batch is parked. The no-backlog
+    /// case never gets here ([`Link::send`] checks first), so the Vec is
+    /// not on the fast path.
+    fn combine(&self, wire: &mut Wire, pool: &BufferPool, m: &Metrics, hists: &OpHists) {
         let mut batch = Vec::new();
         loop {
             self.queue.drain(&mut batch, hists);
-            if batch.is_empty() {
+            if batch.is_empty() || !self.flush(wire, &batch, pool, m, hists) {
                 return;
             }
-            m.record_fabric_write(batch.len() as u64);
-            let mut scratch = pooled_scratch(pool, m);
-            let flushing = Instant::now();
-            let res = write_batch(wire, &batch, &mut scratch);
-            hists.flush.record(flushing.elapsed().as_nanos() as u64);
-            pool.put(scratch);
             batch.clear();
-            if res.is_err() {
-                // Peer gone: stop accepting frames so senders do not
-                // block on a queue nobody drains.
+        }
+    }
+
+    /// Write one batch as far as the socket takes it without blocking.
+    /// `true` when all of it went out; `false` when it was parked for the
+    /// writer thread to finish, or the link failed.
+    fn flush(
+        &self,
+        wire: &mut Wire,
+        batch: &[Frame],
+        pool: &BufferPool,
+        m: &Metrics,
+        hists: &OpHists,
+    ) -> bool {
+        m.record_fabric_write(batch.len() as u64);
+        let mut scratch = pooled_scratch(pool, m);
+        let flushing = Instant::now();
+        let res = write_batch_from(&mut wire.stream, batch, &mut scratch, 0);
+        hists.flush.record(flushing.elapsed().as_nanos() as u64);
+        pool.put(scratch);
+        match res {
+            Ok(None) => true,
+            Ok(Some(written)) => {
+                // Payloads are shared, not copied: parking costs one
+                // reference per frame.
+                wire.parked = Some((batch.to_vec(), written));
+                self.queue.set_parked(true);
+                false
+            }
+            Err(_) => {
+                // Peer gone: stop accepting frames so senders do not block
+                // on a queue nobody drains.
                 self.queue.close();
-                return;
+                false
             }
         }
+    }
+
+    /// Writer thread only: block until the rest of the parked batch is on
+    /// the socket. `false` when the link failed.
+    fn finish_parked(&self, wire: &mut Wire, pool: &BufferPool, m: &Metrics) -> bool {
+        let Some((batch, written)) = wire.parked.take() else { return true };
+        let mut scratch = pooled_scratch(pool, m);
+        let res = wire
+            .stream
+            .set_nonblocking(false)
+            .and_then(|()| write_batch_from(&mut wire.stream, &batch, &mut scratch, written))
+            .and_then(|rest| wire.stream.set_nonblocking(true).map(|()| rest));
+        pool.put(scratch);
+        self.queue.set_parked(false);
+        // A blocking socket that reports `WouldBlock` leaves the stream
+        // cut mid-frame like any other failure.
+        let done = matches!(res, Ok(None));
+        if !done {
+            self.queue.close();
+        }
+        done
     }
 }
 
@@ -282,7 +447,7 @@ struct FabricInner {
     /// Latency histograms (`flush`, `queue_wait`) shared with the node's
     /// parameter server so one report covers the whole process.
     obs: Arc<Observability>,
-    /// Scratch buffers shared by this fabric's writer and reader threads.
+    /// Scratch buffers shared by this fabric's sending and reader threads.
     pool: Arc<BufferPool>,
     inboxes: Vec<Inbox>,
     /// Indexed by peer node id; `None` for self.
@@ -306,6 +471,12 @@ impl FabricInner {
             self.deliver_local(frame);
             return;
         }
+        // The destination may come off the wire (a request's `reply_to`):
+        // one this fabric has no link to is a bad frame, not a bug here.
+        let Some(peer) = self.peers.get(frame.dst.node.index()).and_then(|p| p.as_ref()) else {
+            self.journal_misaddressed(&frame);
+            return;
+        };
         // Account real network traffic on the sending node, excluding
         // fabric-internal control frames (bootstrap barrier).
         let m = self.metrics.node(self.node);
@@ -313,10 +484,7 @@ impl FabricInner {
             m.inc(|m| &m.msgs_sent);
             m.add(|m| &m.bytes_sent, frame.wire_bytes() as u64);
         }
-        match self.peers.get(frame.dst.node.index()).and_then(|p| p.as_ref()) {
-            Some(p) => p.link.send(frame, &self.pool, m, &self.obs.hists),
-            None => debug_assert!(false, "no link to node {}", frame.dst.node),
-        }
+        peer.link.send(frame, &self.pool, m, &self.obs.hists);
     }
 
     fn deliver_local(&self, frame: Frame) {
@@ -330,8 +498,23 @@ impl FabricInner {
         }
     }
 
+    /// Mark `addr`'s inbox taken, by [`Fabric::bind`] or [`Fabric::serve`].
+    fn claim(&self, addr: Addr) -> &Inbox {
+        assert_eq!(addr.node, self.node, "cannot bind a remote node's port");
+        let inbox = self
+            .inboxes
+            .get(addr.port as usize)
+            .unwrap_or_else(|| panic!("address {addr} outside this topology's port range"));
+        let mut st = inbox.state.lock();
+        assert!(!st.bound, "address {addr} bound twice");
+        st.bound = true;
+        drop(st);
+        inbox
+    }
+
     /// Journal a well-formed frame nothing here can take (a port outside
-    /// the topology, or another node's address) as it is dropped.
+    /// the topology, or a node this fabric is not and has no link to) as
+    /// it is dropped.
     fn journal_misaddressed(&self, frame: &Frame) {
         self.obs.event(
             frame.sent_at,
@@ -408,7 +591,9 @@ impl FabricInner {
             for h in self.readers.lock().drain(..) {
                 let _ = h.join();
             }
-            // Wake everything still parked on an inbox or the barrier.
+            // Wake everything still parked on an inbox or the barrier, and
+            // end every service (no reader is left to be inside a handler;
+            // a local poster that is, is waited for).
             for inbox in &self.inboxes {
                 inbox.close();
             }
@@ -426,12 +611,12 @@ fn pooled_scratch(pool: &BufferPool, m: &Metrics) -> Vec<u8> {
     scratch
 }
 
-/// Spawn the writer thread draining `link`'s queue into its socket (one
-/// per outbound link). Each wakeup drains the whole queue and flushes it
-/// as a single coalesced write ([`write_batch`]): N queued frames cost
-/// one syscall and zero per-frame allocations. Idle-wire sends bypass
-/// this thread entirely ([`Link::send`]); it only runs when the wire is
-/// contended. Failure is an `io::Error` the connect path reports.
+/// Spawn `link`'s writer thread (one per outbound link): the backstop for
+/// frames queued while the wire was contended, and the one thread that
+/// blocks on the socket, to finish a batch a non-blocking write parked. Each
+/// wakeup flushes the whole queue as coalesced writes ([`Link::combine`]).
+/// Idle-wire sends bypass this thread entirely ([`Link::send`]). Failure
+/// is an `io::Error` the connect path reports.
 fn spawn_writer(
     node: NodeId,
     peer: NodeId,
@@ -442,36 +627,21 @@ fn spawn_writer(
 ) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new().name(format!("nups-net-tx-{node}-to-{peer}")).spawn(move || {
         let m = metrics.node(node);
-        let mut batch: Vec<Frame> = Vec::new();
-        let mut parked = 0u64;
-        while link.queue.wait_nonempty(&mut parked) {
-            m.add(|m| &m.writer_wakeups, std::mem::take(&mut parked));
+        let mut waits = 0u64;
+        while link.queue.wait_for_work(&mut waits) {
+            m.add(|m| &m.writer_wakeups, std::mem::take(&mut waits));
             // Wire first, then drain: the queue is only ever drained under
             // the wire lock, so queue order is socket order. The frames
             // this thread woke for may already be gone — a combining
             // sender ([`Link::send`]) flushes whatever is queued while it
-            // holds the wire — so an empty drain just re-parks.
+            // holds the wire — so an empty drain just waits again.
             let mut wire = link.wire.lock();
-            link.queue.drain(&mut batch, &obs.hists);
-            if batch.is_empty() {
-                continue;
-            }
-            m.record_fabric_write(batch.len() as u64);
-            let mut scratch = pooled_scratch(&pool, m);
-            let flushing = Instant::now();
-            let res = write_batch(&mut *wire, &batch, &mut scratch);
-            obs.hists.flush.record(flushing.elapsed().as_nanos() as u64);
-            drop(wire);
-            pool.put(scratch);
-            batch.clear();
-            if res.is_err() {
-                // Peer gone: stop accepting frames so senders do not
-                // block on a queue nobody drains.
-                link.queue.close();
+            if !link.finish_parked(&mut wire, &pool, m) {
                 break;
             }
+            link.combine(&mut wire, &pool, m, &obs.hists);
         }
-        m.add(|m| &m.writer_wakeups, parked);
+        m.add(|m| &m.writer_wakeups, waits);
     })
 }
 
@@ -516,8 +686,14 @@ impl TcpFabric {
             // A clone or spawn failure (fd or thread exhaustion) surfaces
             // as the connect path's error; tear down the links built so
             // far so their writer threads exit instead of leaking.
-            let wire_stream = stream.try_clone().inspect_err(|_| teardown_links(&peers))?;
-            let link = Arc::new(Link { queue: SendQueue::new(), wire: Mutex::new(wire_stream) });
+            // Non-blocking from here on (the flag is the socket's, shared
+            // by both handles): see "Who may block on what" above.
+            let wire_stream = stream
+                .try_clone()
+                .and_then(|s| s.set_nonblocking(true).map(|()| s))
+                .inspect_err(|_| teardown_links(&peers))?;
+            let wire = Wire { stream: wire_stream, parked: None };
+            let link = Arc::new(Link { queue: SendQueue::new(), wire: Mutex::new(wire) });
             let writer = spawn_writer(
                 node,
                 peer,
@@ -613,8 +789,8 @@ impl TcpFabric {
         self.inner.wait_barrier(n, deadline)
     }
 
-    /// Close connections and unblock every reader and bound port.
-    /// Idempotent; also runs on drop.
+    /// Close connections, unblock every reader and bound port, and end
+    /// every service. Idempotent; also runs on drop.
     pub fn close(&self) {
         self.inner.close();
     }
@@ -628,17 +804,20 @@ impl Drop for TcpFabric {
 
 impl Fabric for TcpFabric {
     fn bind(&self, addr: Addr) -> Box<dyn Port> {
-        assert_eq!(addr.node, self.inner.node, "cannot bind a remote node's port");
-        let inbox = self
-            .inner
-            .inboxes
-            .get(addr.port as usize)
-            .unwrap_or_else(|| panic!("address {addr} outside this topology's port range"));
-        let mut st = inbox.state.lock();
-        assert!(!st.bound, "address {addr} bound twice");
-        st.bound = true;
-        drop(st);
+        self.inner.claim(addr);
         Box::new(TcpPort { inner: Arc::clone(&self.inner), addr })
+    }
+
+    /// Run `handler` on whichever thread delivers a frame to `addr` — the
+    /// inbound link's reader, or a local poster (see the module docs).
+    fn serve(&self, addr: Addr, handler: FrameHandler) -> ServeGuard {
+        let inbox = self.inner.claim(addr);
+        *inbox.handler.lock() = Some(handler);
+        inbox.state.lock().served = true;
+        // Frames that arrived before the service began.
+        inbox.dispatch();
+        let inner = Arc::clone(&self.inner);
+        ServeGuard::new(move || inner.inboxes[addr.port as usize].close())
     }
 
     fn post(&self, frame: Frame) {
@@ -709,7 +888,45 @@ impl Port for TcpPort {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use nups_core::messages::{KeyUpdate, Msg};
+    use nups_core::{Deployment, NupsConfig, ParameterServer};
+    use nups_sim::codec::WireEncode;
     use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use crate::frame::encode_frame;
+
+    /// A connected loopback pair: `(dialing end, accepted end)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dialed = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        (dialed, accepted)
+    }
+
+    /// Node 0 of a two-node topology, wired to sockets the test holds the
+    /// other ends of.
+    fn node0(
+        obs: &Arc<Observability>,
+        outbound: Option<TcpStream>,
+        inbound: Option<TcpStream>,
+        drain_grace: Duration,
+    ) -> TcpFabric {
+        TcpFabric::assemble(
+            NodeId(0),
+            Topology::new(2, 1),
+            Arc::new(ClusterMetrics::new(2)),
+            Arc::clone(obs),
+            outbound.map(|s| (NodeId(1), s)).into_iter().collect(),
+            inbound.into_iter().collect(),
+            drain_grace,
+        )
+        .expect("assemble")
+    }
+
+    fn frame(src: Addr, dst: Addr, sent_at: u64, payload: Bytes) -> Frame {
+        Frame { src, dst, sent_at: SimTime(sent_at), payload }
+    }
 
     /// A fabric whose peer accepts the connection but never reads a byte,
     /// with enough in flight to wedge a write in the kernel. Shutdown must
@@ -718,50 +935,23 @@ mod tests {
     /// write and joining its threads.
     #[test]
     fn shutdown_honors_the_configured_drain_grace() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let outbound = TcpStream::connect(addr).expect("connect");
-        let (_parked, _) = listener.accept().expect("accept");
+        let (outbound, _parked) = socket_pair();
+        let fabric = node0(
+            &Arc::new(Observability::new()),
+            Some(outbound),
+            None,
+            Duration::from_millis(300),
+        );
+        let (me, peer) = (Addr::server(NodeId(0)), Addr::server(NodeId(1)));
 
-        let grace = Duration::from_millis(300);
-        let topology = Topology::new(2, 1);
-        let metrics = Arc::new(ClusterMetrics::new(2));
-        let fabric = TcpFabric::assemble(
-            NodeId(0),
-            topology,
-            metrics,
-            Arc::new(Observability::new()),
-            vec![(NodeId(1), outbound)],
-            Vec::new(),
-            grace,
-        )
-        .expect("assemble");
-
-        // Sender A: a payload far past the socket buffers blocks inside the
-        // kernel, holding the wire lock.
-        let inner_a = Arc::clone(&fabric.inner);
-        let a = std::thread::spawn(move || {
-            inner_a.send(Frame {
-                src: Addr::server(NodeId(0)),
-                dst: Addr::server(NodeId(1)),
-                sent_at: SimTime::ZERO,
-                payload: Bytes::from(vec![0u8; 32 << 20]),
-            });
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        // Sender B: finds the wire busy, queues — waking the writer thread,
-        // which now blocks on the held wire lock. The writer can never
-        // finish on its own, so close() must fall back to the grace.
-        let inner_b = Arc::clone(&fabric.inner);
-        let b = std::thread::spawn(move || {
-            inner_b.send(Frame {
-                src: Addr::server(NodeId(0)),
-                dst: Addr::server(NodeId(1)),
-                sent_at: SimTime::ZERO,
-                payload: Bytes::from(vec![1u8; 8]),
-            });
-        });
-        std::thread::sleep(Duration::from_millis(100));
+        // A payload far past the socket buffers: the sender writes what
+        // fits and returns, leaving the rest parked for the writer thread,
+        // which blocks on it inside the kernel, holding the wire lock.
+        fabric.post(frame(me, peer, 0, Bytes::from(vec![0u8; 32 << 20])));
+        // Whether the next sender finds the wire busy or the bytes parked,
+        // it queues behind them. The writer can never finish on its own,
+        // so close() must fall back to the grace.
+        fabric.post(frame(me, peer, 0, Bytes::from(vec![1u8; 8])));
 
         let t0 = Instant::now();
         fabric.close();
@@ -774,67 +964,210 @@ mod tests {
             elapsed < Duration::from_secs(3),
             "close must honor the configured grace, not a built-in constant: {elapsed:?}"
         );
-        a.join().expect("sender a");
-        b.join().expect("sender b");
     }
 
-    /// Hostile bytes on an inbound link: frames nothing here can take are
-    /// journaled and dropped with the link intact, and a stream that stops
-    /// parsing as frames costs only that link — in debug builds too.
+    /// Hostile bytes on an inbound link, against a live parameter server:
+    /// frames nothing here can take are journaled and dropped with the
+    /// link intact — among them a request whose reply address is a node
+    /// this fabric has no link to, and a `Stop` — and a stream that stops
+    /// parsing as frames costs only that link, in debug builds too.
     #[test]
     fn bad_inbound_frames_are_journaled_and_leave_the_node_up() {
-        use crate::frame::encode_frame;
         use std::io::Write;
 
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (inbound, _) = listener.accept().expect("accept");
-
+        let (mut peer, inbound) = socket_pair();
         let obs = Arc::new(Observability::new());
-        let fabric = TcpFabric::assemble(
-            NodeId(0),
-            Topology::new(2, 1),
-            Arc::new(ClusterMetrics::new(2)),
+        let metrics = Arc::new(ClusterMetrics::new(2));
+        let fabric = Arc::new(
+            TcpFabric::assemble(
+                NodeId(0),
+                Topology::new(2, 1),
+                Arc::clone(&metrics),
+                Arc::clone(&obs),
+                Vec::new(),
+                vec![inbound],
+                Duration::from_millis(100),
+            )
+            .expect("assemble"),
+        );
+        let cfg = NupsConfig::classic(Topology::new(2, 1), 8, 2)
+            .with_backend(nups_core::Backend::WallClock);
+        let ps = ParameterServer::deploy(
+            cfg,
+            Arc::clone(&fabric) as Arc<dyn Fabric>,
+            metrics,
             Arc::clone(&obs),
-            Vec::new(),
-            vec![inbound],
-            Duration::from_millis(100),
-        )
-        .expect("assemble");
-        let port = fabric.bind(Addr::server(NodeId(0)));
-
-        let frame_to = |dst: Addr, sent_at: u64| Frame {
-            src: Addr::server(NodeId(1)),
-            dst,
-            sent_at: SimTime(sent_at),
-            payload: Bytes::from_static(b"abc"),
+            Deployment::SingleNode(NodeId(0)),
+            |k, v| v.fill(k as f32),
+        );
+        // The test plays node 0's worker: replies addressed here prove a
+        // request was served.
+        let replies = fabric.bind(Addr::worker(NodeId(0), 0));
+        let (server, here) = (Addr::server(NodeId(0)), replies.addr());
+        let mut send = |dst: Addr, sent_at: u64, payload: Bytes| {
+            let f = frame(Addr::server(NodeId(1)), dst, sent_at, payload);
+            peer.write_all(&encode_frame(&f)).expect("write");
         };
-        let unknown_port = Addr { node: NodeId(0), port: 999 };
-        peer.write_all(&encode_frame(&frame_to(unknown_port, 10))).expect("write");
-        peer.write_all(&encode_frame(&frame_to(Addr::server(NodeId(1)), 20))).expect("write");
-        peer.write_all(&encode_frame(&frame_to(Addr::server(NodeId(0)), 30))).expect("write");
-        // Per-link FIFO: receiving the third frame proves the first two
-        // were dropped without costing the link.
-        assert_eq!(port.recv().expect("link survived").sent_at, SimTime(30));
+        let pull = |key: u64, reply_to: Addr| {
+            Msg::PullBatchReq { keys: vec![key], reply_to, hops: 1 }.to_bytes()
+        };
+        let pull_reply = |key: u64| {
+            let values = vec![KeyUpdate { key, delta: vec![key as f32; 2] }];
+            Msg::PullBatchResp { values, hops: 2 }
+        };
+        let served = |key: u64| {
+            let mut payload = replies.recv().expect("link survived").payload;
+            assert_eq!(Msg::decode(&mut payload).expect("a reply"), pull_reply(key));
+        };
 
+        send(Addr { node: NodeId(0), port: 999 }, 10, Bytes::from_static(b"abc"));
+        send(Addr::server(NodeId(1)), 20, Bytes::from_static(b"abc"));
+        // Served, but the reply has nowhere to go: node 7 is outside the
+        // topology, and this fabric has no outbound link at all.
+        send(server, 30, pull(1, Addr::worker(NodeId(7), 0)));
+        send(server, 40, Msg::Stop.to_bytes());
+        send(server, 50, pull(2, here));
+        // Per-link FIFO: the answer to the last request proves the four
+        // frames before it were dropped without costing the link — or,
+        // for the `Stop`, the server.
+        served(2);
+
+        send(server, 60, Bytes::from_static(&[0xAB; 64][..32]));
         peer.write_all(&[0xAB; 64]).expect("write garbage");
         let bad = || -> Vec<_> {
             obs.trace.events().into_iter().filter(|e| e.name == "bad_frame").collect()
         };
         let deadline = Instant::now() + Duration::from_secs(10);
-        while bad().len() < 3 && Instant::now() < deadline {
+        while bad().len() < 6 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let events = bad();
-        assert_eq!(events.len(), 3, "{events:?}");
-        assert_eq!((events[0].ts, events[0].a, events[0].b), (SimTime(10), 999, 3));
-        assert_eq!((events[1].ts, events[1].a, events[1].b), (SimTime(20), 0, 3));
-        // Bad magic (rule 1), stamped with the link's last good frame.
-        assert_eq!((events[2].ts, events[2].a), (SimTime(30), 1));
+        let events: Vec<_> = bad().into_iter().map(|e| (e.ts, e.actor, e.a, e.b)).collect();
+        let reply_len = pull_reply(1).encoded_len() as u64;
+        assert_eq!(
+            events,
+            [
+                (SimTime(10), actor::FABRIC, 999, 3),
+                (SimTime(20), actor::FABRIC, 0, 3),
+                // The undeliverable reply: its port and payload length.
+                (SimTime(30), actor::FABRIC, here.port as u64, reply_len),
+                // The server's records are (first payload byte, length).
+                (SimTime(40), actor::SERVER, Msg::Stop.to_bytes()[0] as u64, 1),
+                (SimTime(60), actor::SERVER, 0xAB, 32),
+                // Bad magic (rule 1), stamped with the link's last good frame.
+                (SimTime(60), actor::FABRIC, 1, 0xABAB_ABAB),
+            ]
+        );
 
-        // The node is still up: local traffic flows.
-        fabric.post(frame_to(Addr::server(NodeId(0)), 40));
-        assert_eq!(port.recv().expect("fabric still open").sent_at, SimTime(40));
+        // The node is still up: local traffic is served.
+        fabric.post(frame(here, server, 70, pull(3, here)));
+        served(3);
+        drop(replies);
+        ps.shutdown();
+    }
+
+    /// The delivery rule of a served port under contention: several local
+    /// posters and a link's reader deliver to it at once, the handler
+    /// never runs twice at the same time, every source's frames arrive in
+    /// the order it sent them, and none is lost.
+    #[test]
+    fn a_served_port_runs_one_call_at_a_time_in_source_order() {
+        use std::io::Write;
+        const POSTERS: u16 = 4;
+        const PER_SOURCE: u64 = 2_000;
+
+        let (mut peer, inbound) = socket_pair();
+        let fabric = Arc::new(node0(
+            &Arc::new(Observability::new()),
+            None,
+            Some(inbound),
+            Duration::from_millis(100),
+        ));
+        let server = Addr::server(NodeId(0));
+        let running = Arc::new(AtomicU64::new(0));
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let in_handler = Arc::clone(&running);
+        let guard = fabric.serve(
+            server,
+            Box::new(move |f: Frame| {
+                let others = in_handler.fetch_add(1, Ordering::SeqCst);
+                seen_tx.send((others, f.src, f.sent_at.0)).expect("test alive");
+                in_handler.fetch_sub(1, Ordering::SeqCst);
+            }),
+        );
+
+        // Every source starts at the same instant.
+        let start = Arc::new(std::sync::Barrier::new(POSTERS as usize + 1));
+        let posters: Vec<_> = (0..POSTERS)
+            .map(|i| {
+                let (fabric, start) = (Arc::clone(&fabric), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let src = Addr { node: NodeId(0), port: 100 + i };
+                    start.wait();
+                    for seq in 0..PER_SOURCE {
+                        fabric.post(frame(src, server, seq, Bytes::new()));
+                    }
+                })
+            })
+            .collect();
+        let wire_src = Addr::server(NodeId(1));
+        start.wait();
+        for seq in 0..PER_SOURCE {
+            peer.write_all(&encode_frame(&frame(wire_src, server, seq, Bytes::new())))
+                .expect("write");
+        }
+        for p in posters {
+            p.join().expect("poster");
+        }
+
+        let mut next: std::collections::HashMap<Addr, u64> = Default::default();
+        for _ in 0..(POSTERS as u64 + 1) * PER_SOURCE {
+            let (others, src, seq) =
+                seen_rx.recv_timeout(Duration::from_secs(30)).expect("a frame was lost");
+            assert_eq!(others, 0, "two handler calls overlapped");
+            let want = next.entry(src).or_default();
+            assert_eq!(seq, *want, "frames of {src} out of order");
+            *want += 1;
+        }
+        assert_eq!(next.len(), POSTERS as usize + 1);
+        drop(guard);
+        assert!(seen_rx.try_recv().is_err(), "a frame was handled twice");
         fabric.close();
+    }
+
+    /// A handler that posts to the port it serves is not re-entered: the
+    /// frame is handled once the current call has returned.
+    #[test]
+    fn a_frame_posted_to_the_handlers_own_port_waits_for_the_call_to_return() {
+        let fabric = Arc::new(node0(
+            &Arc::new(Observability::new()),
+            None,
+            None,
+            Duration::from_millis(100),
+        ));
+        let server = Addr::server(NodeId(0));
+        let (log_tx, log_rx) = mpsc::channel();
+        let (poster, mut depth) = (Arc::clone(&fabric), 0u32);
+        let guard = fabric.serve(
+            server,
+            Box::new(move |f: Frame| {
+                depth += 1;
+                log_tx.send(("enter", f.sent_at.0, depth)).expect("test alive");
+                if f.sent_at.0 < 3 {
+                    poster.post(frame(server, server, f.sent_at.0 + 1, Bytes::new()));
+                }
+                log_tx.send(("leave", f.sent_at.0, depth)).expect("test alive");
+                depth -= 1;
+            }),
+        );
+        fabric.post(frame(server, server, 1, Bytes::new()));
+        // The post returned, so this thread — the only one delivering —
+        // has handled the whole chain.
+        let log: Vec<_> = log_rx.try_iter().collect();
+        let want: Vec<_> = (1..=3).flat_map(|seq| [("enter", seq, 1), ("leave", seq, 1)]).collect();
+        assert_eq!(log, want);
+        // Ending the service drops the handler, and with it the handler's
+        // hold on the fabric.
+        drop(guard);
+        assert_eq!(Arc::strong_count(&fabric), 1);
     }
 }

@@ -217,16 +217,34 @@ const VECTORED_CHUNK: usize = 512;
 /// alternating header/payload iovec via `write_vectored`, so N queued
 /// frames cost one syscall either way instead of N.
 pub fn write_batch(w: &mut impl Write, frames: &[Frame], scratch: &mut Vec<u8>) -> io::Result<()> {
+    match write_batch_from(w, frames, scratch, 0)? {
+        None => Ok(()),
+        Some(_) => Err(io::ErrorKind::WouldBlock.into()),
+    }
+}
+
+/// [`write_batch`] in resumable form, for a non-blocking `w`: write the
+/// batch's byte stream from offset `skip` on. `None` when the stream is
+/// out in full; `Some(offset)` when `w` would block with the stream
+/// written up to `offset`, so that a later call with `skip = offset` —
+/// by whoever may block on `w`, the link's writer thread — carries on
+/// exactly where this one stopped.
+pub fn write_batch_from(
+    w: &mut impl Write,
+    frames: &[Frame],
+    scratch: &mut Vec<u8>,
+    skip: usize,
+) -> io::Result<Option<usize>> {
     scratch.clear();
     if frames.is_empty() {
-        return Ok(());
+        return Ok(None);
     }
     let total: usize = frames.iter().map(|f| f.wire_bytes()).sum();
     if total <= COALESCE_COPY_MAX {
         for f in frames {
             encode_frame_into(f, scratch);
         }
-        return w.write_all(scratch);
+        return write_slices(w, &[&scratch[..]], skip);
     }
     scratch.reserve(frames.len() * HEADER_BYTES);
     for f in frames {
@@ -239,45 +257,70 @@ pub fn write_batch(w: &mut impl Write, frames: &[Frame], scratch: &mut Vec<u8>) 
             slices.push(&f.payload);
         }
     }
-    write_all_vectored(w, &slices)
+    write_slices(w, &slices, skip)
 }
 
-/// Write every byte of `slices` in order, vectored, tolerating arbitrarily
-/// short writes (a socket under memory pressure, or a plain `Write` whose
-/// default `write_vectored` forwards one slice at a time). No slice may be
+/// Write the bytes of `slices`, in order, from offset `skip` of their
+/// concatenation on: vectored, tolerating arbitrarily short writes (a
+/// socket under memory pressure, or a plain `Write` whose default
+/// `write_vectored` forwards one slice at a time). `Some(offset)` if `w`
+/// would block with everything before `offset` written. No slice may be
 /// empty.
-fn write_all_vectored(w: &mut impl Write, slices: &[&[u8]]) -> io::Result<()> {
-    let mut idx = 0; // first slice with unwritten bytes
-    let mut offset = 0; // bytes of slices[idx] already written
-    while idx < slices.len() {
+fn write_slices(w: &mut impl Write, slices: &[&[u8]], skip: usize) -> io::Result<Option<usize>> {
+    // `pos` = (first slice with unwritten bytes, bytes of it written).
+    let mut pos = advance(slices, (0, 0), skip);
+    let mut written = skip;
+    while pos.0 < slices.len() {
+        let (idx, offset) = pos;
         let chunk = VECTORED_CHUNK.min(slices.len() - idx);
-        let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(chunk);
-        iov.push(IoSlice::new(&slices[idx][offset..]));
-        iov.extend(slices[idx + 1..idx + chunk].iter().map(|s| IoSlice::new(s)));
-        let mut n = match w.write_vectored(&iov) {
+        // The last slice standing (always, for a copied batch) is a plain
+        // write: no iovec to build.
+        let res = if chunk == 1 {
+            w.write(&slices[idx][offset..])
+        } else {
+            let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(chunk);
+            iov.push(IoSlice::new(&slices[idx][offset..]));
+            iov.extend(slices[idx + 1..idx + chunk].iter().map(|s| IoSlice::new(s)));
+            w.write_vectored(&iov)
+        };
+        match res {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
                     "failed to write the batched frames",
                 ))
             }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while n > 0 {
-            let remaining = slices[idx].len() - offset;
-            if n >= remaining {
-                n -= remaining;
-                idx += 1;
-                offset = 0;
-            } else {
-                offset += n;
-                n = 0;
+            Ok(n) => {
+                pos = advance(slices, pos, n);
+                written += n;
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Some(written)),
+            Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(None)
+}
+
+/// The position `n` bytes past `(idx, offset)` — byte `offset` of
+/// `slices[idx]` — in the concatenation of `slices`.
+fn advance(
+    slices: &[&[u8]],
+    (mut idx, mut offset): (usize, usize),
+    mut n: usize,
+) -> (usize, usize) {
+    while n > 0 && idx < slices.len() {
+        let remaining = slices[idx].len() - offset;
+        if n >= remaining {
+            n -= remaining;
+            idx += 1;
+            offset = 0;
+        } else {
+            offset += n;
+            n = 0;
+        }
+    }
+    (idx, offset)
 }
 
 /// Read exactly `buf.len()` bytes, reporting a clean EOF *before the first
@@ -718,6 +761,73 @@ mod tests {
         let mut scratch = Vec::new();
         write_batch(&mut sink, &frames, &mut scratch).expect("write");
         assert_same_frames(&decode_all(&sink.bytes), &frames);
+    }
+
+    /// A non-blocking socket with room for exactly `room` more bytes.
+    struct FullAfter {
+        bytes: Vec<u8>,
+        room: usize,
+    }
+
+    impl FullAfter {
+        fn take(&mut self, buf: &[u8]) -> usize {
+            let n = self.room.min(buf.len());
+            self.bytes.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            n
+        }
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            match self.take(buf) {
+                0 => Err(io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            match bufs.iter().map(|b| self.take(b)).sum() {
+                0 => Err(io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_write_blocked_at_any_offset_resumes_to_the_same_stream() {
+        // Three frames under the copy threshold, and three past it (the
+        // vectored path), each cut at every byte offset of its stream.
+        for frames in [batch(3, 40), batch(3, 5500)] {
+            let mut whole = Vec::new();
+            write_batch(&mut whole, &frames, &mut Vec::new()).expect("write");
+            assert_eq!(
+                whole.len() > COALESCE_COPY_MAX,
+                frames[0].payload.len() == 5500,
+                "one batch per path"
+            );
+            let mut scratch = Vec::new();
+            for room in 0..=whole.len() {
+                let blocked_at = (room < whole.len()).then_some(room);
+                let mut sink = FullAfter { bytes: Vec::new(), room };
+                let at = write_batch_from(&mut sink, &frames, &mut scratch, 0).expect("write");
+                assert_eq!(at, blocked_at);
+                assert_eq!(sink.bytes, whole[..room], "socket bytes, room {room}");
+                // Whoever resumes — here into a socket with room again —
+                // puts out exactly the rest.
+                let mut rest = Vec::new();
+                let at = write_batch_from(&mut rest, &frames, &mut scratch, room).expect("resume");
+                assert_eq!(at, None);
+                assert_eq!(rest, whole[room..], "resumed bytes, room {room}");
+                // The blocking writer reports a full socket as an error,
+                // as `write_all` always has.
+                let mut sink = FullAfter { bytes: Vec::new(), room };
+                let res = write_batch(&mut sink, &frames, &mut scratch).map_err(|e| e.kind());
+                assert_eq!(res, blocked_at.map_or(Ok(()), |_| Err(io::ErrorKind::WouldBlock)));
+            }
+        }
     }
 
     #[test]

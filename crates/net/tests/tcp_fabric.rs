@@ -2,7 +2,8 @@
 //! loopback sockets (one thread per node standing in for one process per
 //! node — the code paths are identical, only the address space differs),
 //! framing robustness under adversarial byte chunking, a concurrent
-//! multi-peer stress test, and shutdown semantics.
+//! multi-peer stress test, which thread serves a request, liveness when
+//! two nodes flood each other, and shutdown semantics.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -11,11 +12,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nups_core::adaptive::AdaptiveConfig;
+use nups_core::messages::Msg;
 use nups_core::runtime::{Backend, Fabric, RecvOutcome};
 use nups_core::system::FinalizeOutcome;
 use nups_core::{Deployment, NupsConfig, ParameterServer, PsWorker};
 use nups_net::frame::{encode_frame, read_frame};
 use nups_net::{connect_cluster, BootstrapError, ClusterOptions, TcpFabric};
+use nups_sim::codec::WireEncode;
 use nups_sim::metrics::ClusterMetrics;
 use nups_sim::net::Frame;
 use nups_sim::time::{SimDuration, SimTime};
@@ -461,6 +464,142 @@ fn concurrent_multi_peer_sends_deliver_everything() {
     }
     for f in &fabrics {
         f.close();
+    }
+}
+
+/// The hand-off this fabric saves, stated without a clock: a peer's
+/// request is handled on the thread that read it off the socket, and a
+/// frame a node posts to its own served port on the thread that posted it.
+#[test]
+fn a_request_is_handled_on_the_thread_that_delivers_it() {
+    let topology = Topology::new(2, 1);
+    let fabrics: Vec<Arc<TcpFabric>> = connect_mesh(topology).into_iter().map(Arc::new).collect();
+    let server = Addr::server(NodeId(1));
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+    let guard = fabrics[1].serve(
+        server,
+        Box::new(move |f: Frame| {
+            let thread = std::thread::current().name().unwrap_or("").to_owned();
+            seen_tx.send((f.src.node, thread)).expect("test alive");
+        }),
+    );
+    let request = move |from: NodeId| Frame {
+        src: Addr::worker(from, 0),
+        dst: server,
+        sent_at: SimTime::ZERO,
+        payload: Msg::PullBatchReq { keys: vec![1], reply_to: Addr::worker(from, 0), hops: 1 }
+            .to_bytes(),
+    };
+
+    fabrics[0].post(request(NodeId(0)));
+    let (from, thread) = seen_rx.recv_timeout(Duration::from_secs(10)).expect("peer request");
+    assert_eq!(from, NodeId(0));
+    assert!(thread.starts_with("nups-net-rx-"), "a peer's request ran on {thread:?}");
+
+    let local = Arc::clone(&fabrics[1]);
+    std::thread::Builder::new()
+        .name("local-poster".into())
+        .spawn(move || local.post(request(NodeId(1))))
+        .expect("spawn")
+        .join()
+        .expect("poster");
+    // Handled before `post` returned, so before the join.
+    assert_eq!(seen_rx.try_recv(), Ok((NodeId(1), "local-poster".to_owned())));
+
+    drop(guard);
+    for f in &fabrics {
+        f.close();
+    }
+}
+
+/// Bytes of replies each node owes the other in the flood test: at least
+/// 32 MiB, and three times what one connection's kernel buffers can grow
+/// to where the host says (Linux autotunes them, here up to 36 MiB).
+fn flood_bytes() -> u64 {
+    let max_of = |name: &str| {
+        let limits = std::fs::read_to_string(format!("/proc/sys/net/ipv4/{name}")).ok()?;
+        limits.split_whitespace().last()?.parse::<u64>().ok()
+    };
+    let buffers = max_of("tcp_rmem").unwrap_or(0) + max_of("tcp_wmem").unwrap_or(0);
+    (3 * buffers).max(32 << 20)
+}
+
+/// Two nodes answer each other's requests with far more bytes than the
+/// loopback socket buffers hold, and nobody drains a reply until every
+/// request is out. Handlers run on the link readers, so this completes
+/// only because a reader never blocks in a reply's write: if it did, both
+/// readers would sit in `write` with both buffers full, neither reading.
+#[test]
+fn two_nodes_flooding_each_other_with_replies_both_finish() {
+    const VALUE_LEN: usize = 16 << 10; // 64 KiB per value
+    const KEYS_PER_REQUEST: u64 = 32; // 2 MiB per reply
+    let requests = flood_bytes().div_ceil(KEYS_PER_REQUEST * 4 * VALUE_LEN as u64);
+    let topology = Topology::new(2, 1);
+    let n_keys = 2 * KEYS_PER_REQUEST;
+    let keyspace = nups_core::KeySpace::new(n_keys, 2);
+
+    let coordinator = rendezvous_addr();
+    let requests_out = Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = topology
+        .nodes()
+        .map(|node| {
+            let opts = ClusterOptions::new(node, topology, coordinator);
+            let requests_out = Arc::clone(&requests_out);
+            let keys: Vec<u64> = keyspace.range_of(NodeId(1 - node.0)).collect();
+            std::thread::spawn(move || {
+                let metrics = Arc::new(ClusterMetrics::new(2));
+                let obs = obs();
+                let fabric = Arc::new(
+                    connect_cluster(&opts, Arc::clone(&metrics), Arc::clone(&obs))
+                        .expect("bootstrap"),
+                );
+                let cfg = NupsConfig::classic(topology, n_keys, VALUE_LEN)
+                    .with_backend(Backend::WallClock);
+                let ps = ParameterServer::deploy(
+                    cfg,
+                    Arc::clone(&fabric) as Arc<dyn Fabric>,
+                    metrics,
+                    obs,
+                    Deployment::SingleNode(node),
+                    |k, v| v.fill(k as f32),
+                );
+                let replies = fabric.bind(Addr::worker(node, 0));
+                let req =
+                    Msg::PullBatchReq { keys: keys.clone(), reply_to: replies.addr(), hops: 1 };
+                for _ in 0..requests {
+                    fabric.post(Frame {
+                        src: replies.addr(),
+                        dst: Addr::server(NodeId(1 - node.0)),
+                        sent_at: SimTime::ZERO,
+                        payload: req.to_bytes(),
+                    });
+                }
+                requests_out.wait();
+                let deadline = Instant::now() + Duration::from_secs(120);
+                for _ in 0..requests {
+                    let RecvOutcome::Frame(f) = replies.recv_deadline(deadline) else {
+                        panic!("node {node}: the flood wedged");
+                    };
+                    let mut payload = f.payload;
+                    let Ok(Msg::PullBatchResp { values, .. }) = Msg::decode(&mut payload) else {
+                        panic!("node {node}: not a pull reply");
+                    };
+                    assert_eq!(values.iter().map(|u| u.key).collect::<Vec<_>>(), keys);
+                    for u in &values {
+                        assert_eq!(u.delta.len(), VALUE_LEN);
+                        assert!(u.delta.iter().all(|&x| x == u.key as f32), "key {}", u.key);
+                    }
+                }
+                // Leave together: a node that closed first would cut the
+                // other's last replies off.
+                requests_out.wait();
+                drop(replies);
+                ps.shutdown();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("node thread");
     }
 }
 

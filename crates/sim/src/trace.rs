@@ -65,7 +65,7 @@ pub struct TraceEvent {
 
 /// Well-known actor lanes.
 pub mod actor {
-    /// The node's server thread.
+    /// The node's server handler.
     pub const SERVER: u32 = 1_000_000;
     /// The node's replica-sync / merge path.
     pub const SYNC: u32 = 1_000_001;
