@@ -11,9 +11,9 @@
 //! * [`report`] — raw/effective speedups and table printing.
 //! * [`args`] — `--key value` flags for the experiment binaries.
 //!
-//! Each figure/table has a binary under `src/bin/` (see DESIGN.md's
-//! per-experiment index) and a scaled-down criterion bench under
-//! `benches/`.
+//! Each figure/table has a binary under `src/bin/`. Performance is
+//! measured by the stand-alone ledger under the repository's `bench/`
+//! (`bash bench/run.sh`), not by this crate.
 
 pub mod args;
 pub mod baremetal;

@@ -51,7 +51,7 @@ impl TaskKind {
 /// Dataset/model scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-per-experiment: unit tests and criterion benches.
+    /// Seconds-per-experiment: unit tests and CI smoke runs.
     Tiny,
     /// Default for the experiment binaries.
     Small,

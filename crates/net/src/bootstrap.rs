@@ -13,8 +13,9 @@
 //! 2. **Mesh** — every node dials one data connection to every other node
 //!    (its *outbound* link, used only for sending) and accepts `n - 1`
 //!    inbound links, each opened by a `Hello{node}` frame. Two directed
-//!    connections per pair keep the writer/reader threading trivially
-//!    single-owner.
+//!    connections per pair keep each socket single-purpose: senders only
+//!    write the outbound one, one reader thread only reads the inbound
+//!    one.
 //! 3. **Barrier** — each node sends a `Barrier` control frame on every
 //!    outbound link and waits until it has received one from every peer:
 //!    when that holds, every directed link in the mesh has carried real
@@ -477,7 +478,7 @@ pub fn connect_cluster(
     // Phase 3: barrier — every directed link carries one control frame
     // before any protocol traffic flows.
     // The shutdown drain grace reuses the cluster's one timeout budget: a
-    // writer wedged on a dead peer is cut off after `opts.timeout`, the
+    // finisher wedged on a dead peer is cut off after `opts.timeout`, the
     // same bound every bootstrap phase already honors.
     let fabric =
         TcpFabric::assemble(me, topo, metrics, Arc::clone(&obs), outbound, inbound, opts.timeout)?;
@@ -485,8 +486,9 @@ pub fn connect_cluster(
         fabric.post(ctl_frame(me, peer, &Ctl::Barrier));
     }
     if !fabric.wait_barrier(n as u32 - 1, deadline) {
-        // Tear the half-connected fabric down before reporting: its writer
-        // and reader threads must not outlive the failed handshake.
+        // Tear the half-connected fabric down before reporting: its reader
+        // threads, and a finisher if one runs, must not outlive the failed
+        // handshake.
         fabric.close();
         return Err(BootstrapError::TimedOut { phase: "waiting for the connection barrier" });
     }

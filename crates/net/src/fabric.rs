@@ -12,9 +12,10 @@
 //! # Threads
 //!
 //! A process with `n - 1` peers runs `n - 1` reader threads
-//! (`nups-net-rx-<node>`, one per inbound link), `n - 1` writer threads
-//! (`nups-net-tx-<node>-to-<peer>`, one per outbound link) and the
-//! application's workers. There is no server thread:
+//! (`nups-net-rx-<node>`, one per inbound link) and the application's
+//! workers, plus — only while one is finishing a write the socket could
+//! not take — a link's finisher. There is no server thread and no thread
+//! per outbound link:
 //!
 //! * A **reader** reassembles frames ([`crate::frame`]) and delivers each
 //!   one before it reads the next: onto a bound port's inbox, or — for a
@@ -27,18 +28,22 @@
 //!   One handler call runs at a time, each source's frames are handled in
 //!   arrival order, and a frame a handler posts to its own port is
 //!   handled after the current call returns.
-//! * A **sender** (any thread that posts a frame for a peer) writes it
-//!   inline when the link's wire lock is free, and otherwise queues it
-//!   for whoever holds the wire ([`Link::send`]).
-//! * A **writer** is its link's backstop, and the only thread that ever
-//!   blocks on a socket.
+//! * A **sender** (any thread that posts a frame for a peer) flushes its
+//!   link itself ([`Link::send`]): it writes the frame inline when the
+//!   wire is free and nothing is ahead of it, and otherwise queues it for
+//!   whoever holds the wire — the same combiner as delivery to a served
+//!   port, looking again after it unlocks.
+//! * A **finisher** (`nups-net-tx-<node>-to-<peer>`) is spawned when a
+//!   write parks, finishes it and what queued behind it, and exits. It is
+//!   the only thread that ever blocks on a socket, and a link has at most
+//!   one.
 //!
 //! # Who may block on what
 //!
-//! Outbound sockets are non-blocking. An inline or combining write that
-//! fills the socket parks the batch on the link, with how far it got, and
-//! wakes the writer, which alone switches the socket to blocking — under
-//! the wire lock every write happens under — to finish it. That is what lets
+//! Outbound sockets are non-blocking. A write that fills the socket parks
+//! the batch on the link, with how far it got, and spawns the finisher,
+//! which alone switches the socket to blocking — under the wire lock
+//! every write happens under — to finish it. That is what lets
 //! a reader run handlers: were it to block in a reply's `write`, it would
 //! stop draining its own link, and two nodes answering each other's large
 //! batches would wedge with both socket buffers full. For the same reason
@@ -59,14 +64,14 @@
 //! event and dropped (the last together with its link).
 //!
 //! Shutdown is cooperative and total: closing the fabric closes the send
-//! queues (writers drain what was already queued, then the sockets close),
-//! unblocks every reader, marks every inbox closed so blocked
+//! queues (what was already queued is still flushed, then the sockets
+//! close), unblocks every reader, marks every inbox closed so blocked
 //! [`Port::recv`] calls return `None` instead of hanging a process, and
 //! drops every served port's handler once its call in progress returned.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -199,27 +204,19 @@ struct SendQueueState {
     /// long it sat waiting for the wire (the `queue_wait` histogram).
     queue: VecDeque<(Instant, Frame)>,
     closed: bool,
-    /// The wire holds a parked batch ([`Wire::parked`]): work for the
-    /// writer thread even while the queue is empty.
-    parked: bool,
 }
 
-/// Bounded MPSC frame queue feeding one peer's writer thread.
+/// Bounded MPSC frame queue of one outbound link, drained by whoever holds
+/// the link's wire.
 struct SendQueue {
     state: Mutex<SendQueueState>,
-    not_empty: Condvar,
     not_full: Condvar,
 }
 
 impl SendQueue {
     fn new() -> SendQueue {
         SendQueue {
-            state: Mutex::new(SendQueueState {
-                queue: VecDeque::new(),
-                closed: false,
-                parked: false,
-            }),
-            not_empty: Condvar::new(),
+            state: Mutex::new(SendQueueState { queue: VecDeque::new(), closed: false }),
             not_full: Condvar::new(),
         }
     }
@@ -234,30 +231,13 @@ impl SendQueue {
         while may_wait && !st.closed && st.queue.len() >= SEND_QUEUE_FRAMES {
             self.not_full.wait(&mut st);
         }
-        if st.closed {
-            return;
+        if !st.closed {
+            st.queue.push_back((Instant::now(), frame));
         }
-        st.queue.push_back((Instant::now(), frame));
-        drop(st);
-        self.not_empty.notify_one();
     }
 
-    /// Block until there is work for the writer thread — a queued frame or
-    /// a parked batch; `false` once closed *and* out of work (the writer
-    /// flushes everything accepted before close). `waits` counts the
-    /// condvar waits actually performed, i.e. genuine writer wakeups.
-    fn wait_for_work(&self, waits: &mut u64) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if !st.queue.is_empty() || st.parked {
-                return true;
-            }
-            if st.closed {
-                return false;
-            }
-            *waits += 1;
-            self.not_empty.wait(&mut st);
-        }
+    fn is_empty(&self) -> bool {
+        self.state.lock().queue.is_empty()
     }
 
     /// Drain *everything* queued into `out`; never blocks. Whoever flushes
@@ -279,98 +259,115 @@ impl SendQueue {
         self.not_full.notify_all();
     }
 
-    /// Record whether the wire holds a parked batch; setting it wakes the
-    /// writer thread.
-    fn set_parked(&self, parked: bool) {
-        self.state.lock().parked = parked;
-        if parked {
-            self.not_empty.notify_one();
-        }
-    }
-
     fn close(&self) {
         self.state.lock().closed = true;
-        self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 }
 
 /// One outbound socket and what it could not take yet.
 struct Wire {
-    /// Non-blocking, except while the writer thread finishes `parked`.
+    /// Non-blocking, except while the finisher finishes `parked`.
     stream: TcpStream,
     /// A batch the socket had room for only up to this byte offset of its
-    /// stream. Nothing else may be written until the writer thread has
-    /// put the rest out.
+    /// stream. Nothing else may be written until the finisher has put the
+    /// rest out.
     parked: Option<(Vec<Frame>, usize)>,
+    /// The thread started for the last parked batch.
+    finisher: Option<JoinHandle<()>>,
 }
 
-/// One outbound link's send state, shared by the threads that post frames
-/// and the link's writer thread.
+/// One outbound link: its queue, its socket, and what a finisher needs
+/// to run on its own.
 struct Link {
     queue: SendQueue,
     /// The socket, owned by whoever is currently flushing to it: a sending
-    /// thread for inline writes, the writer thread for what those left
-    /// behind. Lock order is always wire, then `queue.state`.
+    /// thread, or the finisher. Lock order is always wire, then
+    /// `queue.state`.
     wire: Mutex<Wire>,
+    /// The finisher's thread name, `nups-net-tx-<node>-to-<peer>`.
+    name: String,
+    node: NodeId,
+    metrics: Arc<ClusterMetrics>,
+    obs: Arc<Observability>,
+    pool: Arc<BufferPool>,
 }
 
 impl Link {
-    /// Send one frame. Fast path: when the wire lock is free, the calling
-    /// thread enqueues its frame and becomes the *combiner* — it drains
-    /// and flushes the queue itself, repeatedly, until nothing is left.
-    /// No writer-thread wakeup, no context switch, no handoff (on a busy
-    /// single-core host the handoff costs more than the write itself),
-    /// and frames posted by other threads mid-write ride out in the
-    /// combiner's next coalesced batch. When the wire is busy, the frame
-    /// is queued with a writer-thread notify as the delivery backstop:
-    /// the current combiner usually picks it up on its next drain, and
-    /// the writer thread covers the race where it does not.
+    fn m(&self) -> &Metrics {
+        self.metrics.node(self.node)
+    }
+
+    /// Send one frame. Fast path: when the wire lock is free and nothing
+    /// is queued or parked, the calling thread writes its frame straight
+    /// from the stack — no queue round trip, no batch allocation, no
+    /// hand-off to another thread (on a busy single-core host the hand-off
+    /// costs more than the write itself) — and then flushes, as coalesced
+    /// batches, whatever other threads queued while it wrote. Otherwise
+    /// the frame is queued and whoever holds the wire flushes it: this
+    /// thread, if it gets the wire now, or the holder, which looks again
+    /// after unlocking ([`Link::relook`]).
     ///
     /// The caller never blocks on the socket: a batch the socket has no
-    /// room for is parked for the writer thread ([`Link::flush`]).
+    /// room for is parked for a finisher ([`Link::flush`]).
     ///
     /// FIFO safety: a parked batch goes out before anything else, every
     /// other frame goes through the queue, and both are only touched while
     /// the wire lock is held, so frames reach the socket exactly in send
     /// order.
-    fn send(&self, frame: Frame, pool: &BufferPool, m: &Metrics, hists: &OpHists) {
-        let Some(mut wire) = self.wire.try_lock() else { return self.queue.push(frame) };
-        // Common case: nothing ahead of us — write the one frame straight
-        // from the stack, no queue round trip, no batch allocation.
-        // Otherwise join the queue behind the backlog and flush it all,
-        // oldest first; behind a parked batch that is the writer thread's
-        // job, and it is already awake.
-        {
-            let mut st = self.queue.state.lock();
-            if st.closed {
-                return;
-            }
-            if wire.parked.is_some() || !st.queue.is_empty() {
-                st.queue.push_back((Instant::now(), frame));
-                drop(st);
-                if wire.parked.is_none() {
-                    self.combine(&mut wire, pool, m, hists);
+    fn send(self: &Arc<Self>, frame: Frame) {
+        match self.wire.try_lock() {
+            Some(mut wire) => {
+                let mut st = self.queue.state.lock();
+                if st.closed {
+                    return;
                 }
+                if wire.parked.is_none() && st.queue.is_empty() {
+                    drop(st);
+                    if self.flush(&mut wire, std::slice::from_ref(&frame)) {
+                        self.combine(&mut wire);
+                    }
+                } else {
+                    // Join the queue behind the backlog and flush it all,
+                    // oldest first; behind a parked batch that is the
+                    // finisher's job. Holding the wire, never wait on the
+                    // bound: nobody else could drain it.
+                    st.queue.push_back((Instant::now(), frame));
+                    drop(st);
+                    if wire.parked.is_none() {
+                        self.combine(&mut wire);
+                    }
+                }
+            }
+            None => self.queue.push(frame),
+        }
+        self.relook();
+    }
+
+    /// Look once more after unlocking — the [`Inbox::dispatch`] rule: a
+    /// frame queued between the wire holder's last drain and its unlock
+    /// was queued by a thread that then failed to take the wire, so the
+    /// holder must come back for it. Flush until the queue is empty, or
+    /// until another thread holds the wire (it looks again in turn), or
+    /// until a batch is parked (the queue is then the finisher's, and
+    /// nobody spins on it).
+    fn relook(self: &Arc<Self>) {
+        while !self.queue.is_empty() {
+            let Some(mut wire) = self.wire.try_lock() else { return };
+            if wire.parked.is_some() {
                 return;
             }
-        }
-        if self.flush(&mut wire, std::slice::from_ref(&frame), pool, m, hists) {
-            // Frames posted while we wrote ride out in our next batch
-            // instead of waiting for a writer-thread wakeup.
-            self.combine(&mut wire, pool, m, hists);
+            self.combine(&mut wire);
         }
     }
 
     /// Flush the queue until it is empty, as coalesced batches, while the
-    /// caller holds the wire lock and no batch is parked. The no-backlog
-    /// case never gets here ([`Link::send`] checks first), so the Vec is
-    /// not on the fast path.
-    fn combine(&self, wire: &mut Wire, pool: &BufferPool, m: &Metrics, hists: &OpHists) {
+    /// caller holds the wire lock and no batch is parked.
+    fn combine(self: &Arc<Self>, wire: &mut Wire) {
         let mut batch = Vec::new();
         loop {
-            self.queue.drain(&mut batch, hists);
-            if batch.is_empty() || !self.flush(wire, &batch, pool, m, hists) {
+            self.queue.drain(&mut batch, &self.obs.hists);
+            if batch.is_empty() || !self.flush(wire, &batch) {
                 return;
             }
             batch.clear();
@@ -378,59 +375,111 @@ impl Link {
     }
 
     /// Write one batch as far as the socket takes it without blocking.
-    /// `true` when all of it went out; `false` when it was parked for the
-    /// writer thread to finish, or the link failed.
-    fn flush(
-        &self,
-        wire: &mut Wire,
-        batch: &[Frame],
-        pool: &BufferPool,
-        m: &Metrics,
-        hists: &OpHists,
-    ) -> bool {
-        m.record_fabric_write(batch.len() as u64);
-        let mut scratch = pooled_scratch(pool, m);
-        let flushing = Instant::now();
-        let res = write_batch_from(&mut wire.stream, batch, &mut scratch, 0);
-        hists.flush.record(flushing.elapsed().as_nanos() as u64);
-        pool.put(scratch);
-        match res {
+    /// `true` when all of it went out; `false` when the rest was parked for
+    /// a finisher, or the link failed.
+    fn flush(self: &Arc<Self>, wire: &mut Wire, batch: &[Frame]) -> bool {
+        self.m().record_fabric_write(batch.len() as u64);
+        match self.write(wire, batch, 0) {
             Ok(None) => true,
             Ok(Some(written)) => {
                 // Payloads are shared, not copied: parking costs one
                 // reference per frame.
                 wire.parked = Some((batch.to_vec(), written));
-                self.queue.set_parked(true);
+                self.spawn_finisher(wire);
                 false
             }
             Err(_) => {
-                // Peer gone: stop accepting frames so senders do not block
-                // on a queue nobody drains.
-                self.queue.close();
+                self.fail(wire);
                 false
             }
         }
     }
 
-    /// Writer thread only: block until the rest of the parked batch is on
-    /// the socket. `false` when the link failed.
-    fn finish_parked(&self, wire: &mut Wire, pool: &BufferPool, m: &Metrics) -> bool {
-        let Some((batch, written)) = wire.parked.take() else { return true };
-        let mut scratch = pooled_scratch(pool, m);
-        let res = wire
-            .stream
-            .set_nonblocking(false)
-            .and_then(|()| write_batch_from(&mut wire.stream, &batch, &mut scratch, written))
-            .and_then(|rest| wire.stream.set_nonblocking(true).map(|()| rest));
-        pool.put(scratch);
-        self.queue.set_parked(false);
-        // A blocking socket that reports `WouldBlock` leaves the stream
-        // cut mid-frame like any other failure.
-        let done = matches!(res, Ok(None));
-        if !done {
-            self.queue.close();
+    /// One socket write of `batch`'s byte stream from offset `skip` on.
+    fn write(&self, wire: &mut Wire, batch: &[Frame], skip: usize) -> io::Result<Option<usize>> {
+        let mut scratch = pooled_scratch(&self.pool, self.m());
+        let flushing = Instant::now();
+        let res = write_batch_from(&mut wire.stream, batch, &mut scratch, skip);
+        self.obs.hists.flush.record(flushing.elapsed().as_nanos() as u64);
+        self.pool.put(scratch);
+        res
+    }
+
+    /// Start a finisher for the batch just parked. The wire is held, so
+    /// the previous finisher, if any, is past its last write and only
+    /// returning: joining it here keeps one per link. A link that cannot
+    /// get a finisher is lost — finishing here would block a thread that
+    /// must not block.
+    fn spawn_finisher(self: &Arc<Self>, wire: &mut Wire) {
+        let link = Arc::clone(self);
+        match std::thread::Builder::new().name(self.name.clone()).spawn(move || link.finish()) {
+            Ok(finisher) => {
+                self.m().inc(|m| &m.writer_wakeups);
+                if let Some(previous) = wire.finisher.replace(finisher) {
+                    let _ = previous.join();
+                }
+            }
+            Err(_) => {
+                wire.parked = None;
+                self.fail(wire);
+            }
         }
-        done
+    }
+
+    /// A finisher's life: under the wire lock, put out the parked batch and
+    /// everything queued behind it with the socket blocking, then look
+    /// again after unlocking like every flusher. Its writes block instead
+    /// of parking, so it never starts another finisher.
+    fn finish(self: Arc<Self>) {
+        let mut wire = self.wire.lock();
+        loop {
+            if self.finish_blocking(&mut wire).is_err() {
+                self.fail(&mut wire);
+            }
+            drop(wire);
+            if self.queue.is_empty() {
+                return;
+            }
+            let Some(relocked) = self.wire.try_lock() else { return };
+            wire = relocked;
+        }
+    }
+
+    /// With the socket blocking: the rest of the parked batch, then the
+    /// queue until it is empty.
+    fn finish_blocking(&self, wire: &mut Wire) -> io::Result<()> {
+        let (mut batch, mut skip) = wire.parked.take().unwrap_or_default();
+        wire.stream.set_nonblocking(false)?;
+        loop {
+            if batch.is_empty() {
+                self.queue.drain(&mut batch, &self.obs.hists);
+                if batch.is_empty() {
+                    return wire.stream.set_nonblocking(true);
+                }
+                self.m().record_fabric_write(batch.len() as u64);
+            }
+            // A blocking socket that reports `WouldBlock` leaves the stream
+            // cut mid-frame like any other failure.
+            if self.write(wire, &batch, skip)?.is_some() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            batch.clear();
+            skip = 0;
+        }
+    }
+
+    /// The link is lost (peer gone, or a cut batch nobody can finish):
+    /// shut the socket, so every later write fails at once instead of
+    /// blocking or following a cut frame, and stop accepting frames, so
+    /// senders do not wait on a queue nobody drains.
+    fn fail(&self, wire: &mut Wire) {
+        let _ = wire.stream.shutdown(Shutdown::Both);
+        self.queue.close();
+    }
+
+    /// Nothing queued and nothing parked.
+    fn is_flushed(&self) -> bool {
+        self.queue.is_empty() && self.wire.try_lock().is_some_and(|w| w.parked.is_none())
     }
 }
 
@@ -438,7 +487,6 @@ struct PeerLink {
     link: Arc<Link>,
     /// Clone of the link's stream, kept to force-close it at shutdown.
     stream: TcpStream,
-    writer: Mutex<Option<JoinHandle<()>>>,
 }
 
 struct FabricInner {
@@ -453,8 +501,8 @@ struct FabricInner {
     /// Indexed by peer node id; `None` for self.
     peers: Vec<Option<PeerLink>>,
     open: AtomicBool,
-    /// How long shutdown waits for writers to drain their queues before
-    /// closing the sockets under them (the cluster's one timeout budget,
+    /// How long shutdown waits for the links to flush before closing the
+    /// sockets under them (the cluster's one timeout budget,
     /// [`crate::bootstrap::ClusterOptions::timeout`]).
     drain_grace: Duration,
     /// Inbound streams, kept to unblock their readers at shutdown.
@@ -484,7 +532,7 @@ impl FabricInner {
             m.inc(|m| &m.msgs_sent);
             m.add(|m| &m.bytes_sent, frame.wire_bytes() as u64);
         }
-        peer.link.send(frame, &self.pool, m, &self.obs.hists);
+        peer.link.send(frame);
     }
 
     fn deliver_local(&self, frame: Frame) {
@@ -561,27 +609,27 @@ impl FabricInner {
 
     fn close(&self) {
         if self.open.swap(false, Ordering::SeqCst) {
-            // Stop accepting outbound work; writers drain what is queued.
+            // Stop accepting outbound work; what is queued still goes out.
             for p in self.peers.iter().flatten() {
                 p.link.queue.close();
             }
-            // Give the writers a bounded grace period to flush (the normal
-            // case: a few frames to a live peer). A writer wedged mid-write
-            // on a dead or stalled peer must not hang shutdown forever, so
-            // after the grace — the cluster's configured timeout budget,
-            // not a built-in constant — the socket is closed under it,
-            // which errors the write out, and the join is then safe.
+            // Give the links a bounded grace period to flush (the normal
+            // case: a few frames to a live peer). A finisher wedged
+            // mid-write on a dead or stalled peer must not hang shutdown
+            // forever, so after the grace — the cluster's configured
+            // timeout budget, not a built-in constant — the socket is
+            // closed under it, which errors the write out, and the join is
+            // then safe. No batch parks on a closed socket, so no finisher
+            // starts after the one taken here.
             let grace = Instant::now() + self.drain_grace;
             for p in self.peers.iter().flatten() {
-                let handle = p.writer.lock().take();
-                if let Some(h) = handle {
-                    while !h.is_finished() && Instant::now() < grace {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    let _ = p.stream.shutdown(Shutdown::Both);
-                    let _ = h.join();
-                } else {
-                    let _ = p.stream.shutdown(Shutdown::Both);
+                while !p.link.is_flushed() && Instant::now() < grace {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                let _ = p.stream.shutdown(Shutdown::Both);
+                let finisher = p.link.wire.lock().finisher.take();
+                if let Some(f) = finisher {
+                    let _ = f.join();
                 }
             }
             // Unblock and collect the readers.
@@ -609,49 +657,6 @@ fn pooled_scratch(pool: &BufferPool, m: &Metrics) -> Vec<u8> {
         if hit { |m| &m.pool_hits } else { |m| &m.pool_misses };
     m.inc(counter);
     scratch
-}
-
-/// Spawn `link`'s writer thread (one per outbound link): the backstop for
-/// frames queued while the wire was contended, and the one thread that
-/// blocks on the socket, to finish a batch a non-blocking write parked. Each
-/// wakeup flushes the whole queue as coalesced writes ([`Link::combine`]).
-/// Idle-wire sends bypass this thread entirely ([`Link::send`]). Failure
-/// is an `io::Error` the connect path reports.
-fn spawn_writer(
-    node: NodeId,
-    peer: NodeId,
-    link: Arc<Link>,
-    pool: Arc<BufferPool>,
-    metrics: Arc<ClusterMetrics>,
-    obs: Arc<Observability>,
-) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(format!("nups-net-tx-{node}-to-{peer}")).spawn(move || {
-        let m = metrics.node(node);
-        let mut waits = 0u64;
-        while link.queue.wait_for_work(&mut waits) {
-            m.add(|m| &m.writer_wakeups, std::mem::take(&mut waits));
-            // Wire first, then drain: the queue is only ever drained under
-            // the wire lock, so queue order is socket order. The frames
-            // this thread woke for may already be gone — a combining
-            // sender ([`Link::send`]) flushes whatever is queued while it
-            // holds the wire — so an empty drain just waits again.
-            let mut wire = link.wire.lock();
-            if !link.finish_parked(&mut wire, &pool, m) {
-                break;
-            }
-            link.combine(&mut wire, &pool, m, &obs.hists);
-        }
-        m.add(|m| &m.writer_wakeups, waits);
-    })
-}
-
-/// Close the queues and sockets of the links assembled before a
-/// construction failure, so their writer threads exit.
-fn teardown_links(peers: &[Option<PeerLink>]) {
-    for p in peers.iter().flatten() {
-        p.link.queue.close();
-        let _ = p.stream.shutdown(Shutdown::Both);
-    }
 }
 
 /// One node's TCP fabric (see module docs). Construct via
@@ -683,30 +688,23 @@ impl TcpFabric {
             // add latency on top of our own coalescing. Best-effort: a link
             // that cannot set the option still carries frames.
             let _ = stream.set_nodelay(true);
-            // A clone or spawn failure (fd or thread exhaustion) surfaces
-            // as the connect path's error; tear down the links built so
-            // far so their writer threads exit instead of leaking.
-            // Non-blocking from here on (the flag is the socket's, shared
-            // by both handles): see "Who may block on what" above.
-            let wire_stream = stream
-                .try_clone()
-                .and_then(|s| s.set_nonblocking(true).map(|()| s))
-                .inspect_err(|_| teardown_links(&peers))?;
-            let wire = Wire { stream: wire_stream, parked: None };
-            let link = Arc::new(Link { queue: SendQueue::new(), wire: Mutex::new(wire) });
-            let writer = spawn_writer(
+            // A clone failure (fd exhaustion) surfaces as the connect
+            // path's error; the links built so far own no thread and close
+            // with their streams. Non-blocking from here on (the flag is
+            // the socket's, shared by both handles): see "Who may block on
+            // what" above.
+            let wire_stream =
+                stream.try_clone().and_then(|s| s.set_nonblocking(true).map(|()| s))?;
+            let link = Arc::new(Link {
+                queue: SendQueue::new(),
+                wire: Mutex::new(Wire { stream: wire_stream, parked: None, finisher: None }),
+                name: format!("nups-net-tx-{node}-to-{peer}"),
                 node,
-                peer,
-                Arc::clone(&link),
-                Arc::clone(&pool),
-                Arc::clone(&metrics),
-                Arc::clone(&obs),
-            )
-            .inspect_err(|_| {
-                let _ = stream.shutdown(Shutdown::Both);
-                teardown_links(&peers);
-            })?;
-            peers[peer.index()] = Some(PeerLink { link, stream, writer: Mutex::new(Some(writer)) });
+                metrics: Arc::clone(&metrics),
+                obs: Arc::clone(&obs),
+                pool: Arc::clone(&pool),
+            });
+            peers[peer.index()] = Some(PeerLink { link, stream });
         }
 
         let inner = Arc::new(FabricInner {
@@ -773,8 +771,8 @@ impl TcpFabric {
             match spawned {
                 Ok(handle) => inner.readers.lock().push(handle),
                 Err(e) => {
-                    // `close` shuts every stream and queue, so the writers
-                    // and readers spawned so far all exit before we report.
+                    // `close` shuts every stream and queue, so the readers
+                    // spawned so far all exit before we report.
                     inner.close();
                     return Err(e);
                 }
@@ -945,11 +943,11 @@ mod tests {
         let (me, peer) = (Addr::server(NodeId(0)), Addr::server(NodeId(1)));
 
         // A payload far past the socket buffers: the sender writes what
-        // fits and returns, leaving the rest parked for the writer thread,
-        // which blocks on it inside the kernel, holding the wire lock.
+        // fits and returns, leaving the rest parked for a finisher, which
+        // blocks on it inside the kernel, holding the wire lock.
         fabric.post(frame(me, peer, 0, Bytes::from(vec![0u8; 32 << 20])));
         // Whether the next sender finds the wire busy or the bytes parked,
-        // it queues behind them. The writer can never finish on its own,
+        // it queues behind them. The finisher can never finish on its own,
         // so close() must fall back to the grace.
         fabric.post(frame(me, peer, 0, Bytes::from(vec![1u8; 8])));
 
@@ -964,6 +962,48 @@ mod tests {
             elapsed < Duration::from_secs(3),
             "close must honor the configured grace, not a built-in constant: {elapsed:?}"
         );
+    }
+
+    /// A write the socket cannot take is finished by a finisher: the peer
+    /// reads nothing until a frame far past the socket buffers and small
+    /// frames behind it are posted, then reads. Everything arrives whole
+    /// and in send order, exactly one finisher ran, and it exits once the
+    /// queue behind it is empty; a later frame goes out inline.
+    #[test]
+    fn a_parked_write_is_finished_in_order_by_a_finisher_that_then_exits() {
+        const SMALL: u64 = 100;
+        let (outbound, mut peer) = socket_pair();
+        let fabric =
+            node0(&Arc::new(Observability::new()), Some(outbound), None, Duration::from_secs(10));
+        let (me, dst) = (Addr::server(NodeId(0)), Addr::server(NodeId(1)));
+        let finisher_runs = || fabric.inner.metrics.total().writer_wakeups;
+
+        fabric.post(frame(me, dst, 0, Bytes::from(vec![7u8; 16 << 20])));
+        assert_eq!(finisher_runs(), 1, "the first write parked");
+        for seq in 1..=SMALL {
+            fabric.post(frame(me, dst, seq, Bytes::copy_from_slice(&seq.to_le_bytes())));
+        }
+        let big = crate::frame::read_frame(&mut peer).expect("the parked frame");
+        assert_eq!(big.sent_at, SimTime(0));
+        assert!(big.payload.len() == 16 << 20 && big.payload.iter().all(|&b| b == 7));
+        for seq in 1..=SMALL {
+            let f = crate::frame::read_frame(&mut peer).expect("a queued frame");
+            assert_eq!((f.sent_at, &f.payload[..]), (SimTime(seq), &seq.to_le_bytes()[..]));
+        }
+
+        let link = &fabric.inner.peers[1].as_ref().expect("link to node 1").link;
+        let exited = || link.wire.lock().finisher.as_ref().is_some_and(|f| f.is_finished());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !exited() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(exited(), "the finisher outlived its work");
+
+        fabric.post(frame(me, dst, SMALL + 1, Bytes::new()));
+        let f = crate::frame::read_frame(&mut peer).expect("a later frame");
+        assert_eq!(f.sent_at, SimTime(SMALL + 1));
+        assert_eq!(finisher_runs(), 1);
+        fabric.close();
     }
 
     /// Hostile bytes on an inbound link, against a live parameter server:

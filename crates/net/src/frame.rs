@@ -177,7 +177,7 @@ impl FrameHeader {
 }
 
 /// Append a frame's wire encoding (header + payload) to `out` — the
-/// allocation-free building block the coalescing writer drains batches
+/// allocation-free building block coalesced flushes drain batches
 /// through.
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
     out.extend_from_slice(&FrameHeader::of(frame).encode());
@@ -227,7 +227,7 @@ pub fn write_batch(w: &mut impl Write, frames: &[Frame], scratch: &mut Vec<u8>) 
 /// batch's byte stream from offset `skip` on. `None` when the stream is
 /// out in full; `Some(offset)` when `w` would block with the stream
 /// written up to `offset`, so that a later call with `skip = offset` —
-/// by whoever may block on `w`, the link's writer thread — carries on
+/// by whoever may block on `w`, the link's finisher thread — carries on
 /// exactly where this one stopped.
 pub fn write_batch_from(
     w: &mut impl Write,

@@ -11,17 +11,18 @@
 //!   protocol version, src/dst address, send timestamp, payload length,
 //!   CRC-32) followed by the `Msg` codec bytes. Malformed input yields
 //!   typed [`frame::FrameError`]s, never panics.
-//! * [`fabric`] — [`TcpFabric`]: per-peer writer threads behind bounded
-//!   outbound queues, a reader thread per inbound connection that queues
-//!   each frame on its (node, port) inbox or runs the node's server
-//!   handler on it, and total teardown on shutdown. The hot path is built
-//!   for throughput: a request is served and answered on the thread that
-//!   read it, an idle wire is written inline by the sender, a busy one
-//!   flushes its whole queue as one coalesced (vectored where large)
-//!   write, scratch buffers come from a shared [`pool::BufferPool`]
-//!   instead of per-frame allocations, and every link runs with
-//!   `TCP_NODELAY` so batching is the fabric's decision, not Nagle's.
-//!   Only a link's writer thread ever blocks on a socket.
+//! * [`fabric`] — [`TcpFabric`]: bounded outbound queues flushed by the
+//!   sending threads themselves, a reader thread per inbound connection
+//!   that queues each frame on its (node, port) inbox or runs the node's
+//!   server handler on it, and total teardown on shutdown. The hot path
+//!   is built for throughput: a request is served and answered on the
+//!   thread that read it, an idle wire is written inline by the sender, a
+//!   busy one flushes its whole queue as one coalesced (vectored where
+//!   large) write, scratch buffers come from a shared
+//!   [`pool::BufferPool`] instead of per-frame allocations, and every link
+//!   runs with `TCP_NODELAY` so batching is the fabric's decision, not
+//!   Nagle's. Only a link's finisher — a thread that lives while it
+//!   finishes a write the socket could not take — ever blocks on a socket.
 //! * [`pool`] — [`pool::BufferPool`]: the small free-list of reusable
 //!   byte buffers behind both sides of that hot path.
 //! * [`bootstrap`] — [`connect_cluster`]: rendezvous on a coordinator

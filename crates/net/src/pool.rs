@@ -1,7 +1,7 @@
 //! A small free-list of byte buffers shared by the fabric's I/O threads.
 //!
 //! The hot wire path used to pay one heap allocation per frame on each
-//! side: the writer allocated a fresh encode buffer per frame, the reader
+//! side: the sender allocated a fresh encode buffer per frame, the reader
 //! a fresh (zeroed) payload buffer. Both now borrow scratch space from one
 //! per-fabric [`BufferPool`] and hand it back when the frame is on the
 //! wire (or in its inbox), so steady-state traffic recycles a handful of
@@ -20,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 /// Free buffers retained by default. Sized for one fabric's worth of I/O
-/// threads (one writer per peer + one reader per inbound link) with room
-/// for overlap.
+/// threads (one reader per inbound link, the sending workers, and a
+/// finisher while one runs) with room for overlap.
 pub const DEFAULT_MAX_BUFFERS: usize = 32;
 
 /// Default cap on the capacity a returned buffer may retain (larger ones

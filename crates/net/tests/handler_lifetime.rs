@@ -6,6 +6,8 @@
 //! Alone in its file on purpose: the test reads this process's thread
 //! list, so no other cluster may be running beside it.
 
+mod common;
+
 use std::net::TcpListener;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -17,17 +19,7 @@ use nups_sim::metrics::ClusterMetrics;
 use nups_sim::topology::{Topology, WorkerId};
 use nups_sim::trace::Observability;
 
-/// Names of this process's live threads that start with `prefix` (the
-/// kernel keeps the first 15 bytes of a name). Empty where there is no
-/// `/proc`.
-fn threads_named(prefix: &str) -> Vec<String> {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return Vec::new() };
-    tasks
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim_end().to_owned())
-        .filter(|name| name.starts_with(prefix))
-        .collect()
-}
+use common::threads_named;
 
 #[test]
 fn shutdown_drops_the_handler_and_leaves_no_thread() {
@@ -73,10 +65,11 @@ fn shutdown_drops_the_handler_and_leaves_no_thread() {
         assert_eq!(value, [remote_key as f32; 2]);
         assert_eq!(ps.metrics_of(node).remote_pulls, 1);
     }
-    // A TCP node runs its readers and writers and no server thread.
+    // A TCP node runs its readers and no server thread, and no thread per
+    // outbound link: small frames never leave a write for a finisher.
     if cfg!(target_os = "linux") {
         assert_eq!(threads_named("nups-net-rx-").len(), 2);
-        assert_eq!(threads_named("nups-net-tx-").len(), 2);
+        assert_eq!(threads_named("nups-net-tx-"), Vec::<String>::new());
     }
     assert_eq!(threads_named("nups-server-"), Vec::<String>::new());
 

@@ -5,6 +5,8 @@
 //! multi-peer stress test, which thread serves a request, liveness when
 //! two nodes flood each other, and shutdown semantics.
 
+mod common;
+
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -24,6 +26,8 @@ use nups_sim::net::Frame;
 use nups_sim::time::{SimDuration, SimTime};
 use nups_sim::topology::{Addr, NodeId, Topology};
 use nups_sim::trace::Observability;
+
+use common::threads_named;
 
 /// Fresh observability bundle for nodes that don't inspect it.
 fn obs() -> Arc<Observability> {
@@ -529,6 +533,8 @@ fn flood_bytes() -> u64 {
 /// request is out. Handlers run on the link readers, so this completes
 /// only because a reader never blocks in a reply's write: if it did, both
 /// readers would sit in `write` with both buffers full, neither reading.
+/// A reply the socket could not take is finished by a finisher thread,
+/// and none is left once the flood is over.
 #[test]
 fn two_nodes_flooding_each_other_with_replies_both_finish() {
     const VALUE_LEN: usize = 16 << 10; // 64 KiB per value
@@ -590,6 +596,16 @@ fn two_nodes_flooding_each_other_with_replies_both_finish() {
                         assert!(u.delta.iter().all(|&x| x == u.key as f32), "key {}", u.key);
                     }
                 }
+                // This node has all its replies and the other's arrive on
+                // their own, so every finisher puts its last byte out and
+                // exits, with no shutdown to join it. (A cluster of another
+                // test in this process may run a short-lived one of its
+                // own, hence a wait, not a snapshot.)
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !threads_named("nups-net-tx-").is_empty() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                assert_eq!(threads_named("nups-net-tx-"), Vec::<String>::new());
                 // Leave together: a node that closed first would cut the
                 // other's last replies off.
                 requests_out.wait();
@@ -646,8 +662,8 @@ fn shutdown_unblocks_blocked_receivers() {
 fn coalescing_counters_account_for_every_socket_frame() {
     // Every frame that crosses a socket must be counted by exactly one
     // coalesced write, and the frames-per-write histogram must tally with
-    // the write counter — whichever mix of inline sends, combiner drains,
-    // and writer-thread batches actually carried the burst.
+    // the write counter — whichever mix of inline sends, combining
+    // senders' drains and a finisher's drains actually carried the burst.
     let topology = Topology::new(2, 1);
     let coordinator = rendezvous_addr();
     let mut handles = Vec::new();

@@ -215,7 +215,8 @@ pub struct OpHists {
     pub merge: Hist,
     /// Duration of one replica-sync round that actually exchanged deltas.
     pub sync_round: Hist,
-    /// Fabric send-queue wait: enqueue until a writer drains the frame.
+    /// Fabric send-queue wait: enqueue until a sender or finisher drains
+    /// the frame.
     pub queue_wait: Hist,
     /// Fabric flush latency: one batched wire write, including syscall.
     pub flush: Hist,

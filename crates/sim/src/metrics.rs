@@ -145,17 +145,17 @@ metrics! {
     /// Bytes the priced migration messages would have carried, framing
     /// included.
     migration_bytes,
-    /// Coalesced socket flushes issued by TCP fabric writer threads (one
-    /// per queue drain; each flush carries a whole batch of frames in a
-    /// single `write_all` or `writev`).
+    /// Coalesced socket flushes on TCP fabric links (one per inline send or
+    /// queue drain; each flush carries a whole batch of frames in a single
+    /// `write_all` or `writev`).
     fabric_writes,
-    /// Frames pushed through TCP fabric writer threads (protocol and
-    /// control frames alike; `fabric_frames ÷ fabric_writes` is the mean
-    /// coalesced batch size).
+    /// Frames pushed through TCP fabric links (protocol and control frames
+    /// alike; `fabric_frames ÷ fabric_writes` is the mean coalesced batch
+    /// size).
     fabric_frames,
-    /// Times a TCP fabric writer thread parked on an empty queue and was
-    /// woken again. Fewer wakeups than frames means senders queued work
-    /// while the writer was already busy — coalescing at work.
+    /// TCP fabric finisher runs: times a batch the non-blocking socket
+    /// could not take whole was parked and a thread was started to finish
+    /// it with blocking writes. Zero while the peer keeps up.
     writer_wakeups,
     /// TCP fabric buffer-pool requests served from a pooled buffer.
     pool_hits,

@@ -69,7 +69,7 @@ pub mod actor {
     pub const SERVER: u32 = 1_000_000;
     /// The node's replica-sync / merge path.
     pub const SYNC: u32 = 1_000_001;
-    /// The fabric (bootstrap, writers).
+    /// The fabric (bootstrap, links).
     pub const FABRIC: u32 = 1_000_002;
     /// Process-level control flow (deploy, finalize).
     pub const CONTROL: u32 = 1_000_003;
