@@ -1,5 +1,5 @@
 //! Minimal `--key value` argument parsing for the experiment binaries
-//! (kept dependency-free on purpose; see DESIGN.md).
+//! (dependency-free: the workspace builds offline).
 
 use nups_sim::topology::Topology;
 

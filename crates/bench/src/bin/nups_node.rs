@@ -6,8 +6,8 @@
 //!   data listener, rendezvouses on the coordinator address, runs the
 //!   drift workload on its own node's workers, and participates in the
 //!   distributed finalize protocol. Node 0 doubles as the coordinator and
-//!   writes the assembled final model (`--model-out`) plus a JSON report
-//!   (`--json`).
+//!   writes the assembled final model (`--model-out`) plus its own run
+//!   times and counters as `name value` lines (`--report`).
 //! * **Launcher mode** (`--launch`): spawn the whole local process group
 //!   for a loopback run — one child per node, all flags forwarded — and
 //!   wait for every child to exit cleanly.
@@ -29,7 +29,7 @@
 //! initial model from (scale, topology) alone, so nothing but protocol
 //! traffic ever crosses the wire. The final model node 0 writes is
 //! bit-identical to an in-process run of the same scale and topology —
-//! `throughput --fabric tcp --check` gates on exactly that.
+//! `crates/bench/tests/execution_modes.rs` holds it to exactly that.
 
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Command, Stdio};
@@ -37,11 +37,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use nups_bench::drift_bench::{
-    self, adaptive_ps_config, init_value, model_bits, ps_config, render_model, total_accesses,
-    workload_for,
+    self, adaptive_ps_config, init_value, model_bits, ps_config, render_model, workload_for,
+    NodeReport,
 };
-use nups_bench::json::Json;
-use nups_bench::report::hists_json;
 use nups_bench::Args;
 use nups_core::runtime::Backend;
 use nups_core::system::FinalizeOutcome;
@@ -116,8 +114,8 @@ fn launch(args: &Args) -> i32 {
             if let Some(path) = args.get("model-out") {
                 cmd.arg("--model-out").arg(path);
             }
-            if let Some(path) = args.get("json") {
-                cmd.arg("--json").arg(path);
+            if let Some(path) = args.get("report") {
+                cmd.arg("--report").arg(path);
             }
         }
         match cmd.spawn() {
@@ -232,7 +230,6 @@ fn run_node(args: &Args) -> i32 {
 
     let start = Instant::now();
     let run = drift_bench::run_phases_timed(&ps, &workload);
-    let epoch_times = &run.epoch_times;
     let elapsed = start.elapsed();
     eprintln!("[nups-node {me}] workload done in {elapsed:?}; finalizing");
 
@@ -248,49 +245,14 @@ fn run_node(args: &Args) -> i32 {
                 std::fs::write(path, render_model(&bits)).expect("write model");
                 eprintln!("[nups-node {me}] wrote final model to {path}");
             }
-            if let Some(path) = args.get("json") {
-                let accesses = total_accesses(&workload, topo);
-                let m = ps.metrics_of(me);
-                let mean_epoch_us = epoch_times.iter().map(|d| d.as_nanos() / 1_000).sum::<u64>()
-                    / epoch_times.len().max(1) as u64;
-                let report = Json::obj()
-                    .set("bench", "nups-node")
-                    .set("scale", scale.name())
-                    .set("topology", format!("{}x{}", topo.n_nodes, topo.workers_per_node).as_str())
-                    .set("fabric", "tcp")
-                    .set("elapsed_us", elapsed.as_micros() as u64)
-                    .set("mean_epoch_us", mean_epoch_us)
-                    .set("accesses", accesses)
-                    .set("keys_per_sec", accesses as f64 / elapsed.as_secs_f64().max(1e-9))
-                    // Wall latency of this node's pull_many/push_many calls.
-                    .set("p50_op_us", run.op_percentile_us(50.0))
-                    .set("p99_op_us", run.op_percentile_us(99.0))
-                    // Wire-path counters (this process's writers/readers):
-                    // how well the send path coalesced and how often the
-                    // buffer pool served I/O scratch without allocating.
-                    .set("fabric_writes_node0", m.fabric_writes)
-                    .set("fabric_frames_node0", m.fabric_frames)
-                    .set("writer_wakeups_node0", m.writer_wakeups)
-                    .set("pool_hits_node0", m.pool_hits)
-                    .set("pool_misses_node0", m.pool_misses)
-                    .set("frames_per_write_1", m.frames_per_write_1)
-                    .set("frames_per_write_2_3", m.frames_per_write_2_3)
-                    .set("frames_per_write_4_7", m.frames_per_write_4_7)
-                    .set("frames_per_write_8_15", m.frames_per_write_8_15)
-                    .set("frames_per_write_16_plus", m.frames_per_write_16_plus)
-                    // Coordinator-process traffic (per-node view; the other
-                    // nodes' counters live in their own processes).
-                    .set("msgs_node0", m.msgs_sent)
-                    .set("bytes_node0", m.bytes_sent)
-                    .set("relocations_node0", m.relocations)
-                    .set("sync_rounds_node0", m.sync_rounds)
-                    .set("remote_accesses_node0", m.remote_pulls + m.remote_pushes)
-                    .set("promotions_node0", m.promotions)
-                    .set("demotions_node0", m.demotions)
-                    .set("adaptation_rounds", m.adaptation_rounds)
-                    // Per-op latency histograms (this process's lanes).
-                    .set("hists", hists_json(&ps.observability().hists.snapshot()));
-                std::fs::write(path, report.render()).expect("write json report");
+            if let Some(path) = args.get("report") {
+                let report = NodeReport::render(
+                    elapsed,
+                    &run,
+                    &ps.metrics_of(me),
+                    &ps.observability().hists.snapshot(),
+                );
+                std::fs::write(path, report.0).expect("write report");
                 eprintln!("[nups-node {me}] wrote {path}");
             }
             0

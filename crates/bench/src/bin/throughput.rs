@@ -6,13 +6,13 @@
 //! All modes must also *agree*: with integer-valued deltas every partial
 //! sum is exact, so the final model is identical bit-for-bit no matter how
 //! real scheduling interleaved the updates or which fabric carried them.
-//! `--check` gates on that equivalence (the CI wall-clock and tcp-loopback
-//! smoke jobs run it).
+//! `cargo test -p nups-bench --test execution_modes` holds the tiny 4×2
+//! run to that.
 //!
 //! Usage: cargo run --release -p nups-bench --bin throughput -- \
 //!   [--scale tiny|small|medium] [--nodes 4] [--workers 2] \
 //!   [--backend sim|wall|both] [--fabric tcp] [--adaptive] \
-//!   [--json PATH] [--gate-json PATH] [--trace PATH] [--check]
+//!   [--trace PATH]
 //!
 //! `--trace` exports each mode's event journal as Chrome trace-event JSON
 //! (`PATH.sim`, `PATH.wall`, and `PATH.tcp.node<K>` per tcp process) —
@@ -21,253 +21,24 @@
 //!
 //! `--adaptive` turns on the adaptive technique manager in every mode:
 //! in-process runs adapt at the merge gate, the multi-process run uses the
-//! leader-driven epoch protocol over the sockets. The `--check` contract
-//! is unchanged — adaptation moves keys, it never loses deltas, so the
-//! final models still agree bit for bit.
-//!
-//! `--json` writes a report in the standard bench shape. The wall-backend
-//! and tcp numbers are real measurements and vary run to run, so this
-//! report is uploaded as a CI artifact but not gated against a baseline.
-//! `--gate-json` additionally writes a minimal socket-path report (keys/s
-//! and the coalescing ratio) whose gated numeric leaves exactly match
-//! `ci/bench-baseline-throughput-tcp.json`. p99 latency swings too wide
-//! between quiet and contended hosts for a symmetric band, so it rides
-//! along under `report_only` (with histogram-bucket metadata), which the
-//! checker skips.
+//! leader-driven epoch protocol over the sockets. Adaptation moves keys,
+//! it never loses deltas, so the final models still agree bit for bit.
 //!
 //! `--fabric tcp` spawns the `nups-node` binary in launcher mode (one OS
 //! process per node, rendezvous + full-mesh handshake on loopback) and
-//! folds the multi-process run into the table, the report, and the check.
-
-use std::time::Instant;
+//! folds the multi-process run into the table.
 
 use nups_bench::drift_bench::{
-    adaptive_ps_config, init_value, model_bits, parse_model, ps_config, run_phases_timed,
-    total_accesses, workload_for,
+    run_cluster, run_in_process, sibling_node_bin, total_accesses, workload_for, ModeRun,
 };
-use nups_bench::json::Json;
 use nups_bench::report::print_table;
-use nups_bench::{Args, Scale};
+use nups_bench::Args;
 use nups_core::runtime::Backend;
-use nups_core::ParameterServer;
-use nups_sim::metrics::MetricsSnapshot;
 use nups_sim::time::SimDuration;
-use nups_sim::topology::Topology;
-use nups_workloads::drift::DriftingHotspots;
 
-struct ModeRun {
-    /// Row label: backend name, or "tcp" for the multi-process run.
-    mode: &'static str,
-    /// Total run time on the mode's timeline (virtual or wall-clock).
-    elapsed: SimDuration,
-    /// Per-epoch times, when the mode reports them (empty for tcp: the
-    /// launcher only observes whole-process time).
-    epoch_times: Vec<SimDuration>,
-    /// Key accesses performed (pulls + pushes).
-    accesses: u64,
-    /// Cluster-wide counters for in-process modes; the coordinator
-    /// process's view for tcp.
-    metrics: MetricsSnapshot,
-    /// Wall-clock p50/p99 of individual pull/push calls (node 0's workers
-    /// for tcp; all workers in-process). Microseconds.
-    p50_op_us: u64,
-    p99_op_us: u64,
-    /// Bit patterns of the final model, for the cross-mode check.
-    model: Vec<Vec<u32>>,
-}
-
-impl ModeRun {
-    fn keys_per_sec(&self) -> f64 {
-        self.accesses as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    fn mean_epoch(&self) -> Option<SimDuration> {
-        if self.epoch_times.is_empty() {
-            return None;
-        }
-        let n = self.epoch_times.len() as u64;
-        Some(self.epoch_times.iter().copied().sum::<SimDuration>() / n)
-    }
-}
-
-fn run_backend(
-    workload: &DriftingHotspots,
-    topology: Topology,
-    backend: Backend,
-    adaptive: bool,
-    trace: Option<&str>,
-) -> ModeRun {
-    let ps_cfg = if adaptive {
-        adaptive_ps_config(topology, workload)
-    } else {
-        ps_config(topology, workload)
-    }
-    .with_backend(backend);
-    let ps = ParameterServer::new(ps_cfg, init_value);
-    let timed = run_phases_timed(&ps, workload);
-    ps.flush_replicas();
-    let model = model_bits(ps.read_all());
-    if let Some(path) = trace {
-        // One file per mode; under the virtual backend the export is a
-        // pure function of (scale, topology) — byte-identical across runs.
-        let path = format!("{path}.{}", backend.name());
-        std::fs::write(&path, ps.observability().chrome_trace()).expect("write trace");
-        eprintln!("[throughput] wrote {path}");
-    }
-    let run = ModeRun {
-        mode: backend.name(),
-        elapsed: timed.epoch_times.iter().copied().sum(),
-        accesses: total_accesses(workload, topology),
-        metrics: ps.metrics(),
-        p50_op_us: timed.op_percentile_us(50.0),
-        p99_op_us: timed.op_percentile_us(99.0),
-        epoch_times: timed.epoch_times,
-        model,
-    };
-    ps.shutdown();
-    run
-}
-
-/// Run the workload across real OS processes: spawn `nups-node` in
-/// launcher mode, then read back the model node 0 assembled.
-fn run_tcp(
-    workload: &DriftingHotspots,
-    topology: Topology,
-    scale: Scale,
-    adaptive: bool,
-    trace: Option<&str>,
-) -> ModeRun {
-    let exe = std::env::current_exe().expect("own executable path");
-    let node_bin = exe.with_file_name(if cfg!(windows) { "nups-node.exe" } else { "nups-node" });
-    if !node_bin.exists() {
-        eprintln!(
-            "FAIL: {} not found — build it first (cargo build -p nups-bench --bin nups-node)",
-            node_bin.display()
-        );
-        std::process::exit(1);
-    }
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let model_path = dir.join(format!("nups-throughput-{pid}-model.txt"));
-    let report_path = dir.join(format!("nups-throughput-{pid}-report.json"));
-
-    let start = Instant::now();
-    let mut cmd = std::process::Command::new(&node_bin);
-    if adaptive {
-        cmd.arg("--adaptive");
-    }
-    if let Some(path) = trace {
-        // The launcher suffixes per node: {path}.tcp.node0, .node1, ...
-        cmd.arg("--trace").arg(format!("{path}.tcp"));
-    }
-    let status = cmd
-        .arg("--launch")
-        .arg("--nodes")
-        .arg(topology.n_nodes.to_string())
-        .arg("--workers")
-        .arg(topology.workers_per_node.to_string())
-        .arg("--scale")
-        .arg(scale.name())
-        .arg("--model-out")
-        .arg(&model_path)
-        .arg("--json")
-        .arg(&report_path)
-        .status()
-        .expect("spawn nups-node launcher");
-    let elapsed = start.elapsed();
-    if !status.success() {
-        eprintln!("FAIL: nups-node launcher exited with {status}");
-        std::process::exit(1);
-    }
-    let model = std::fs::read_to_string(&model_path)
-        .ok()
-        .and_then(|s| parse_model(&s))
-        .unwrap_or_else(|| {
-            eprintln!("FAIL: could not read the model from {}", model_path.display());
-            std::process::exit(1);
-        });
-    // Pull the coordinator's counters out of its report; the cross-process
-    // totals live in the other processes.
-    let report = std::fs::read_to_string(&report_path).unwrap_or_default();
-    // Prefer the coordinator's workload-only time (keys/sec over the
-    // sockets, excluding process spawn and handshake); fall back to the
-    // launcher's wall time if the report is missing.
-    let elapsed = match json_u64(&report, "elapsed_us") {
-        0 => SimDuration(elapsed.as_nanos() as u64),
-        us => SimDuration(us * 1_000),
-    };
-    let metrics = MetricsSnapshot {
-        msgs_sent: json_u64(&report, "msgs_node0"),
-        bytes_sent: json_u64(&report, "bytes_node0"),
-        relocations: json_u64(&report, "relocations_node0"),
-        sync_rounds: json_u64(&report, "sync_rounds_node0"),
-        fabric_writes: json_u64(&report, "fabric_writes_node0"),
-        fabric_frames: json_u64(&report, "fabric_frames_node0"),
-        writer_wakeups: json_u64(&report, "writer_wakeups_node0"),
-        pool_hits: json_u64(&report, "pool_hits_node0"),
-        pool_misses: json_u64(&report, "pool_misses_node0"),
-        frames_per_write_1: json_u64(&report, "frames_per_write_1"),
-        frames_per_write_2_3: json_u64(&report, "frames_per_write_2_3"),
-        frames_per_write_4_7: json_u64(&report, "frames_per_write_4_7"),
-        frames_per_write_8_15: json_u64(&report, "frames_per_write_8_15"),
-        frames_per_write_16_plus: json_u64(&report, "frames_per_write_16_plus"),
-        ..MetricsSnapshot::default()
-    };
-    let _ = std::fs::remove_file(&model_path);
-    let _ = std::fs::remove_file(&report_path);
-    ModeRun {
-        mode: "tcp",
-        elapsed,
-        epoch_times: Vec::new(),
-        accesses: total_accesses(workload, topology),
-        metrics,
-        p50_op_us: json_u64(&report, "p50_op_us"),
-        p99_op_us: json_u64(&report, "p99_op_us"),
-        model,
-    }
-}
-
-/// Minimal field extraction from our own flat JSON reports.
-fn json_u64(report: &str, key: &str) -> u64 {
-    nups_bench::json::field_u64(report, key)
-}
-
-fn mode_json(r: &ModeRun) -> Json {
-    let mut j = Json::obj()
-        .set("elapsed_us", r.elapsed.as_nanos() / 1_000)
-        .set("mean_epoch_us", r.mean_epoch().map(|d| d.as_nanos() / 1_000).unwrap_or(0))
-        .set("accesses", r.accesses)
-        .set("keys_per_sec", r.keys_per_sec())
-        .set("p50_op_us", r.p50_op_us)
-        .set("p99_op_us", r.p99_op_us)
-        .set("msgs", r.metrics.msgs_sent)
-        .set("bytes", r.metrics.bytes_sent)
-        .set("relocations", r.metrics.relocations)
-        .set("sync_rounds", r.metrics.sync_rounds);
-    if r.mode == "tcp" {
-        // Wire-path counters (coordinator process): how well the send path
-        // coalesced, and whether pooled buffers served I/O scratch.
-        j = j.set(
-            "fabric",
-            Json::obj()
-                .set("writes", r.metrics.fabric_writes)
-                .set("frames", r.metrics.fabric_frames)
-                .set("mean_frames_per_write", mean_frames_per_write(&r.metrics))
-                .set("writer_wakeups", r.metrics.writer_wakeups)
-                .set("pool_hits", r.metrics.pool_hits)
-                .set("pool_misses", r.metrics.pool_misses)
-                .set("frames_per_write_1", r.metrics.frames_per_write_1)
-                .set("frames_per_write_2_3", r.metrics.frames_per_write_2_3)
-                .set("frames_per_write_4_7", r.metrics.frames_per_write_4_7)
-                .set("frames_per_write_8_15", r.metrics.frames_per_write_8_15)
-                .set("frames_per_write_16_plus", r.metrics.frames_per_write_16_plus),
-        );
-    }
-    j
-}
-
-fn mean_frames_per_write(m: &MetricsSnapshot) -> f64 {
-    m.fabric_frames as f64 / (m.fabric_writes as f64).max(1.0)
+fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -277,8 +48,7 @@ fn main() {
     let workload = workload_for(scale);
 
     let backends: Vec<Backend> = match args.get("backend") {
-        None => vec![Backend::Virtual, Backend::WallClock],
-        Some("both") => vec![Backend::Virtual, Backend::WallClock],
+        None | Some("both") => vec![Backend::Virtual, Backend::WallClock],
         Some(s) => match Backend::parse(s) {
             Some(b) => vec![b],
             None => {
@@ -298,45 +68,57 @@ fn main() {
 
     let adaptive = args.get_flag("adaptive");
     let trace = args.get("trace");
+    let label = if adaptive { " (adaptive)" } else { "" };
 
     let mut runs: Vec<ModeRun> = backends
         .iter()
         .map(|&b| {
-            eprintln!(
-                "[throughput] running {} backend{}",
-                b.name(),
-                if adaptive { " (adaptive)" } else { "" }
-            );
-            run_backend(&workload, topology, b, adaptive, trace)
+            eprintln!("[throughput] running {} backend{label}", b.name());
+            run_in_process(&workload, topology, b, adaptive, trace)
         })
         .collect();
     if with_tcp {
         eprintln!(
-            "[throughput] running tcp multi-process deployment ({} processes on loopback{})",
-            topology.n_nodes,
-            if adaptive { ", adaptive" } else { "" }
+            "[throughput] running tcp multi-process deployment ({} processes on loopback){label}",
+            topology.n_nodes
         );
-        runs.push(run_tcp(&workload, topology, scale, adaptive, trace));
+        let trace = trace.map(|path| format!("{path}.tcp"));
+        let tcp = run_cluster(&sibling_node_bin(), scale, topology, adaptive, trace.as_deref())
+            .unwrap_or_else(|e| fail(&e));
+        runs.push(ModeRun {
+            mode: "tcp",
+            elapsed: SimDuration(tcp.report.get("elapsed_us") * 1_000),
+            epoch_times: Vec::new(),
+            msgs: tcp.report.get("msgs_sent"),
+            p50_op_us: tcp.report.get("p50_op_us"),
+            p99_op_us: tcp.report.get("p99_op_us"),
+            model: tcp.model,
+        });
     }
 
+    let accesses = total_accesses(&workload, topology);
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|r| {
+            let mean_epoch = match r.epoch_times.len() as u64 {
+                0 => "-".to_string(),
+                n => (r.epoch_times.iter().copied().sum::<SimDuration>() / n).to_string(),
+            };
             vec![
                 r.mode.to_string(),
                 r.elapsed.to_string(),
-                r.mean_epoch().map(|d| d.to_string()).unwrap_or_else(|| "-".to_string()),
-                format!("{}", r.accesses),
-                format!("{:.0}", r.keys_per_sec()),
+                mean_epoch,
+                format!("{accesses}"),
+                format!("{:.0}", accesses as f64 / r.elapsed.as_secs_f64().max(1e-9)),
                 format!("{}/{}", r.p50_op_us, r.p99_op_us),
                 // The tcp row only sees the coordinator process's
                 // counters; the other nodes' totals live in their own
                 // processes. Label it so the column is not misread as a
                 // cluster-wide comparison.
                 if r.mode == "tcp" {
-                    format!("{} (node 0 only)", r.metrics.msgs_sent)
+                    format!("{} (node 0 only)", r.msgs)
                 } else {
-                    format!("{}", r.metrics.msgs_sent)
+                    format!("{}", r.msgs)
                 },
             ]
         })
@@ -350,78 +132,4 @@ fn main() {
         &["mode", "run time", "mean epoch", "accesses", "keys/sec", "p50/p99 op µs", "messages"],
         &rows,
     );
-
-    if let Some(path) = args.get("json") {
-        let mut report = Json::obj().set("bench", "throughput").set("scale", scale.name()).set(
-            "topology",
-            format!("{}x{}", topology.n_nodes, topology.workers_per_node).as_str(),
-        );
-        for r in &runs {
-            report = report.set(r.mode, mode_json(r));
-        }
-        std::fs::write(path, report.render()).expect("write json report");
-        eprintln!("[throughput] wrote {path}");
-    }
-
-    // A minimal report for the regression gate: exactly the numeric leaves
-    // the committed baseline carries (`ci/check_bench_regression.py`
-    // demands numeric-leaf sets match bidirectionally, so the full report
-    // above — with its run-to-run-varying extras — cannot be gated).
-    if let Some(path) = args.get("gate-json") {
-        let Some(tcp) = runs.iter().find(|r| r.mode == "tcp") else {
-            eprintln!("FAIL: --gate-json needs the tcp run (add --fabric tcp)");
-            std::process::exit(1);
-        };
-        let gate = Json::obj()
-            .set("bench", "throughput-tcp-gate")
-            .set("scale", scale.name())
-            .set("keys_per_sec", tcp.keys_per_sec())
-            .set("mean_frames_per_write", mean_frames_per_write(&tcp.metrics))
-            // Informational only: the checker skips every `report_only.*`
-            // leaf, so p99 rides along in the gate artifact (with the
-            // histogram-bucket metadata needed to interpret it) without
-            // being held to a symmetric band.
-            .set(
-                "report_only",
-                Json::obj()
-                    .set("p50_op_us", tcp.p50_op_us)
-                    .set("p99_op_us", tcp.p99_op_us)
-                    .set("hist_n_buckets", nups_sim::hist::N_BUCKETS as u64)
-                    .set("hist_max_quantization_error_pct", 12.5),
-            );
-        std::fs::write(path, gate.render()).expect("write gate report");
-        eprintln!("[throughput] wrote {path}");
-    }
-
-    if args.get_flag("check") {
-        let Some(reference) = runs.iter().find(|r| r.mode == Backend::Virtual.name()) else {
-            eprintln!("FAIL: --check needs the sim backend as reference (drop --backend)");
-            std::process::exit(1);
-        };
-        let mut ok = true;
-        for r in runs.iter().filter(|r| r.mode != reference.mode) {
-            if r.model == reference.model {
-                eprintln!("[throughput] OK: {} model identical to sim", r.mode);
-            } else if r.model.len() != reference.model.len() {
-                eprintln!(
-                    "FAIL: {} model has {} keys, sim has {}",
-                    r.mode,
-                    r.model.len(),
-                    reference.model.len()
-                );
-                ok = false;
-            } else {
-                let diverged = reference.model.iter().zip(&r.model).filter(|(a, b)| a != b).count();
-                eprintln!("FAIL: {diverged} parameter(s) differ between sim and {}", r.mode);
-                ok = false;
-            }
-        }
-        if runs.len() < 2 {
-            eprintln!("FAIL: --check needs at least two modes (drop --backend)");
-            ok = false;
-        }
-        if !ok {
-            std::process::exit(1);
-        }
-    }
 }

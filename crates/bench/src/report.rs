@@ -1,39 +1,10 @@
 //! Speedup computation and table printing — the paper's *Measures*
 //! (Section 5.1): raw speedup (epoch-time ratio) and effective speedup
-//! (time to 90% of the best single-node quality) — plus the JSON shape
-//! latency histograms take in bench reports.
+//! (time to 90% of the best single-node quality).
 
 use nups_ml::task::QualityDirection;
-use nups_sim::hist::OpHistsSnapshot;
-use nups_sim::time::{SimDuration, SimTime};
 
-use crate::json::Json;
 use crate::runner::RunResult;
-
-/// Render an [`OpHistsSnapshot`] as a JSON object: one entry per non-empty
-/// histogram with count, mean, p50/p99 and max (microseconds). Empty
-/// histograms are omitted so in-process reports don't carry all-zero
-/// fabric lanes. These land in the artifact reports, never the gated one —
-/// latencies swing too wide between quiet and contended hosts for a
-/// symmetric regression band.
-pub fn hists_json(hists: &OpHistsSnapshot) -> Json {
-    let mut j = Json::obj();
-    for (name, h) in hists.entries() {
-        if h.is_empty() {
-            continue;
-        }
-        j = j.set(
-            name,
-            Json::obj()
-                .set("count", h.count)
-                .set("mean_us", h.mean() / 1_000.0)
-                .set("p50_us", h.percentile(50.0) / 1_000)
-                .set("p99_us", h.percentile(99.0) / 1_000)
-                .set("max_us", h.max() / 1_000),
-        );
-    }
-    j
-}
 
 /// Raw speedup of `variant` over `baseline` w.r.t. epoch run time.
 pub fn raw_speedup(baseline: &RunResult, variant: &RunResult) -> f64 {
@@ -66,14 +37,6 @@ pub fn effective_speedup(
         return None;
     }
     Some(t_single.as_nanos() as f64 / t_variant.as_nanos() as f64)
-}
-
-pub fn fmt_duration(d: SimDuration) -> String {
-    d.to_string()
-}
-
-pub fn fmt_time(t: SimTime) -> String {
-    t.to_string()
 }
 
 pub fn fmt_speedup(s: Option<f64>) -> String {
@@ -129,7 +92,7 @@ pub fn print_series(result: &RunResult) {
         println!(
             "{:>6} {:>14} {:>12} {:>14.1}",
             r.epoch + 1,
-            fmt_time(r.time),
+            r.time.to_string(),
             fmt_quality(r.quality),
             r.train_loss
         );
@@ -141,6 +104,7 @@ mod tests {
     use super::*;
     use crate::runner::EpochRecord;
     use nups_sim::metrics::MetricsSnapshot;
+    use nups_sim::time::SimTime;
 
     fn result(name: &str, epoch_ns: u64, qualities: &[f64]) -> RunResult {
         RunResult {

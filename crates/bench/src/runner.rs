@@ -286,8 +286,3 @@ fn run_ssp(
         replicated_keys: 0,
     }
 }
-
-/// Convenience: run a list of variants against one task factory.
-pub fn run_all(factory: TaskFactory, variants: &[VariantSpec], cfg: &RunConfig) -> Vec<RunResult> {
-    variants.iter().map(|v| run(factory, v, cfg)).collect()
-}

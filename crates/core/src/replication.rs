@@ -354,7 +354,7 @@ impl ReplicaSet {
 }
 
 /// Cluster-wide synchronizer over all nodes' [`ReplicaSet`]s. The merge is
-/// executed in-process (the rendezvous substitution described in DESIGN.md)
+/// executed in-process, at a rendezvous of every worker at the sync gate,
 /// but *priced* as the recursive-doubling sparse all-reduce the paper
 /// describes: `ceil(log2 n)` rounds, each carrying the union of dirty
 /// updates.

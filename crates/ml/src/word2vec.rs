@@ -5,7 +5,7 @@
 //! update and `n_neg` negatives drawn from the unigram^0.75 noise
 //! distribution via the PS sampling API. Frequent words are subsampled.
 //! Quality is planted-topic coherence × 100 (the synthetic analogue of
-//! analogy accuracy; see DESIGN.md).
+//! analogy accuracy).
 //!
 //! Key layout: input vector of word `w` → key `w`; output vector → key
 //! `vocab + w`. Sampling targets the output layer only, exactly as in the

@@ -5,7 +5,7 @@
 //! path is exercised exactly as a networked implementation would exercise
 //! it. The format is little-endian and length-prefixed; it deliberately
 //! mirrors the flat layouts a ZeroMQ + protobuf stack would produce, without
-//! pulling in a serialization framework (see DESIGN.md).
+//! pulling in a serialization framework.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;

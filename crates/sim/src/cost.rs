@@ -4,9 +4,9 @@
 //! touching a key through shared memory, executing floating-point work, and
 //! running one round of a recursive-doubling all-reduce. The defaults are
 //! calibrated to the paper's hardware (Lenovo SR630 nodes, 100 Gbit
-//! InfiniBand, ZeroMQ + protocol-buffer software stack); see DESIGN.md for
-//! the calibration rationale. Experiments report *ratios* (speedups,
-//! who-wins-where), which are insensitive to moderate miscalibration.
+//! InfiniBand, ZeroMQ + protocol-buffer software stack). Experiments
+//! report *ratios* (speedups, who-wins-where), which are insensitive to
+//! moderate miscalibration.
 
 use crate::time::SimDuration;
 

@@ -2,8 +2,7 @@
 //!
 //! The NuPS paper (SIGMOD 2022) evaluates on an 8–16 node InfiniBand
 //! cluster. This crate substitutes that hardware with a deterministic
-//! in-process simulation (see the repository's `DESIGN.md` for the full
-//! substitution argument):
+//! in-process simulation:
 //!
 //! * [`topology`] — cluster shape: nodes, workers, addresses, and the
 //!   recursive-doubling schedule used by replica synchronization.

@@ -1,5 +1,4 @@
-//! Synthetic text corpus (the One-Billion-Word-Benchmark substitute; see
-//! DESIGN.md).
+//! Synthetic text corpus (the One-Billion-Word-Benchmark substitute).
 //!
 //! What Word2Vec training exposes to the parameter server is (i) direct
 //! access skewed by word frequency (Zipf, as in real text) and (ii)

@@ -1,4 +1,4 @@
-//! Synthetic knowledge graph (the Wikidata5M substitute; see DESIGN.md).
+//! Synthetic knowledge graph (the Wikidata5M substitute).
 //!
 //! Wikidata5M is a real graph with heavily skewed entity degrees. What the
 //! parameter server *sees* of it is (i) Zipf-skewed direct access to entity

@@ -6,8 +6,8 @@
 //! exactly the properties the parameter server is sensitive to — skewed
 //! direct access, the sampling distributions, dataset-derived frequency
 //! statistics — while planting recoverable structure so model-quality
-//! curves remain meaningful. See `DESIGN.md` for the substitution
-//! rationale, and [`trace`] for the skew statistics of Figure 3 / Table 2.
+//! curves remain meaningful. See [`trace`] for the skew statistics of
+//! Figure 3 / Table 2.
 
 pub mod corpus;
 pub mod drift;

@@ -14,8 +14,8 @@
 //! * [`workloads`] — synthetic datasets with the paper's skew
 //!   characteristics, plus access-trace tooling.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! reproduction methodology.
+//! See `README.md` for a quickstart, the architecture, and how to
+//! reproduce the paper's figures.
 
 pub use nups_core as core;
 pub use nups_ml as ml;
