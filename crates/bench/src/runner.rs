@@ -203,8 +203,6 @@ fn run_nups(
         relocation_enabled: v.relocation,
         sync_period: v.sync.period(),
         clip,
-        reuse: Default::default(),
-        store_shards: 64,
         seed: 0xBE7C4,
         adaptive: v.adaptive.clone(),
         backend: Default::default(),

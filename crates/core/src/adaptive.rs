@@ -15,6 +15,10 @@
 //!   estimated frequency exceeds `promote_factor ×` the mean, demote a
 //!   replicated key that fell below `demote_factor ×` the mean
 //!   (`demote_factor ≪ promote_factor` gives hysteresis against thrash).
+//!   Scoring yields a *plan* — demotions, then promotions each with the
+//!   replica slot [`TechniqueMap::plan_slots`](crate::technique::TechniqueMap::plan_slots)
+//!   assigns it — and the in-process round below carries out exactly the
+//!   plan a per-node leader would broadcast, with the same primitives.
 //! * Migrations execute while **every active worker is parked at the
 //!   gate**, which is what makes the whole scheme deterministic in virtual
 //!   time: the sketch contents at a rendezvous are a pure function of the
@@ -23,22 +27,24 @@
 //!   be exact under late-chasing protocol messages — see the promotion
 //!   settle/sweep protocol below.
 //!
-//! **Promotion** (relocated → replicated): follow the home directory to
-//! the current owner, waiting out any in-flight relocation chain; convert
-//! the owner's entry into a [`Promoted`](crate::store) tombstone (taking
-//! the authoritative value under the shard latch, so a concurrent server
-//! push lands either in the taken value or — after the take — in the
-//! replica update buffer, exactly once); sweep stale in-flight marks whose
-//! localize requests the home server's migration guard dropped; install
-//! the value into every node's replica set. Priced as the owner
-//! broadcasting one [`Msg::Promote`] to each peer.
+//! **Promotion** (relocated → replicated): fence the key against new
+//! relocations; follow the home directory to the current owner, waiting
+//! out any in-flight relocation chain; convert the owner's entry into a
+//! [`Promoted`](crate::store) tombstone (taking the authoritative value
+//! under the shard latch, so a concurrent server push lands either in the
+//! taken value or — after the take — in the replica update buffer,
+//! exactly once); sweep stale in-flight marks whose localize requests the
+//! fence dropped; install the value into every node's replica set in the
+//! planned slot, then publish the slot and lift the fence. Priced as the
+//! owner broadcasting one [`Msg::Promote`] to each peer.
 //!
-//! **Demotion** (replicated → relocated): collapse the replica slot into a
-//! single value (the synced state plus any unsynced per-node deltas — the
-//! "final delta all-reduce"), install it at the elected owner (the key's
-//! home node), redirect leftover tombstones, reset the home directory, and
-//! free the slot for reuse. Priced as one final all-reduce round over the
-//! demoted slots plus one small [`Msg::Demote`] notice per peer.
+//! **Demotion** (replicated → relocated): seal the replica slot on every
+//! node and fold the copies into one value (the synced state plus any
+//! unsynced per-node deltas — the "final delta all-reduce"), install it
+//! at the elected owner (the key's home node), redirect leftover
+//! tombstones, reset the home directory, and free the slot for reuse.
+//! Priced as one final all-reduce round over the demoted slots plus one
+//! small [`Msg::Demote`] notice per peer.
 
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,8 +66,9 @@ use crate::node::Shared;
 use crate::store::{PromoteTake, QueuedOp};
 use crate::value::add_assign;
 
-/// Keys paired with their sketch-estimated frequency, scoring order.
-type ScoredKeys = Vec<(u64, Key)>;
+/// An adaptation round's migrations, as [`Msg::AdaptPlan`] carries them:
+/// promotions, each with the replica slot it gets, and demotions.
+type Plan = (Vec<(Key, u32)>, Vec<Key>);
 
 /// The node that runs adaptation rounds in per-node deployments.
 pub const ADAPT_LEADER: NodeId = NodeId(0);
@@ -91,9 +98,6 @@ pub struct AdaptiveConfig {
     pub max_migrations_per_round: usize,
     /// Sketch width exponent: `1 << sketch_bits` counters per row.
     pub sketch_bits: u32,
-    /// Halve the sketch after every adaptation round so drifting hot sets
-    /// age out.
-    pub decay: bool,
 }
 
 impl Default for AdaptiveConfig {
@@ -105,7 +109,6 @@ impl Default for AdaptiveConfig {
             max_replicated: 1 << 16,
             max_migrations_per_round: 64,
             sketch_bits: 16,
-            decay: true,
         }
     }
 }
@@ -161,11 +164,12 @@ impl AdaptiveManager {
         self.adapt(shared)
     }
 
-    /// Score all keys against the merged sketch: hottest promotions first,
-    /// coldest demotions first, ties broken by key, both truncated to the
-    /// configured per-round and capacity bounds. Deterministic in the
-    /// sketch contents and the current technique map.
-    fn score(&self, shared: &Shared) -> (ScoredKeys, ScoredKeys) {
+    /// Score all keys against the merged sketch: `(promotions, demotions)`,
+    /// hottest promotions first, coldest demotions first, ties broken by
+    /// key, both truncated to the configured per-round and capacity
+    /// bounds. Deterministic in the sketch contents and the current
+    /// technique map.
+    fn score(&self, shared: &Shared) -> (Vec<Key>, Vec<Key>) {
         let total = self.sketch.total();
         if total == 0 {
             return (Vec::new(), Vec::new());
@@ -194,7 +198,25 @@ impl AdaptiveManager {
         let slots_after_demote = shared.technique.n_replicated().saturating_sub(demos.len());
         let capacity = self.cfg.max_replicated.saturating_sub(slots_after_demote);
         promos.truncate(self.cfg.max_migrations_per_round.min(capacity));
-        (promos, demos)
+        let keys = |scored: Vec<(u64, Key)>| scored.into_iter().map(|(_, key)| key).collect();
+        (keys(promos), keys(demos))
+    }
+
+    /// Count a round and plan it, as the leader broadcasts the plan and
+    /// the in-process round carries it out: `(promotions, demotions)`,
+    /// each promotion with the replica slot [`TechniqueMap::plan_slots`]
+    /// assigns once the demotions freed theirs. `None` when no key
+    /// migrates. Either caller halves the sketch once the round is done,
+    /// so drifting hot sets age out.
+    ///
+    /// [`TechniqueMap::plan_slots`]: crate::technique::TechniqueMap::plan_slots
+    fn plan(&self, shared: &Shared) -> Option<Plan> {
+        shared.metrics.node(ADAPT_LEADER).inc(|m| &m.adaptation_rounds);
+        let (promos, demos) = self.score(shared);
+        if promos.is_empty() && demos.is_empty() {
+            return None;
+        }
+        Some((shared.technique.plan_slots(&demos, &promos), demos))
     }
 
     /// One distributed adaptation round at a due merge. Peers ship their
@@ -224,88 +246,79 @@ impl AdaptiveManager {
             // wide keeps at most one plan's traffic in flight.
             return;
         }
-        shared.metrics.node(ADAPT_LEADER).inc(|m| &m.adaptation_rounds);
-        let (promos, demos) = self.score(shared);
-        if promos.is_empty() && demos.is_empty() {
-            if self.cfg.decay {
-                self.sketch.decay();
+        if let Some((promotions, demotions)) = self.plan(shared) {
+            let epoch = dist.state().issue_plan();
+            let n_migrations = (promotions.len() + demotions.len()) as u64;
+            shared.obs.event(
+                boundary,
+                ADAPT_LEADER.0,
+                actor::SYNC,
+                "adapt_plan_issue",
+                epoch,
+                n_migrations,
+            );
+            let plan = Msg::AdaptPlan { epoch, promotions, demotions };
+            for node in shared.topology.nodes() {
+                // Including the leader itself: applying the plan on the
+                // server loop serializes it with every other protocol
+                // message.
+                post_server(shared, ADAPT_LEADER, node, boundary, &plan);
             }
-            return;
         }
-        let demo_keys: Vec<Key> = demos.iter().map(|&(_, k)| k).collect();
-        let promo_keys: Vec<Key> = promos.iter().map(|&(_, k)| k).collect();
-        let promotions = shared.technique.plan_slots(&demo_keys, &promo_keys);
-        let epoch = dist.state().issue_plan();
-        let n_migrations = (promotions.len() + demo_keys.len()) as u64;
-        shared.obs.event(
-            boundary,
-            ADAPT_LEADER.0,
-            actor::SYNC,
-            "adapt_plan_issue",
-            epoch,
-            n_migrations,
-        );
-        let plan = Msg::AdaptPlan { epoch, promotions, demotions: demo_keys };
-        for node in shared.topology.nodes() {
-            // Including the leader itself: applying the plan on the server
-            // loop serializes it with every other protocol message.
-            post_server(shared, ADAPT_LEADER, node, boundary, &plan);
-        }
-        if self.cfg.decay {
-            self.sketch.decay();
-        }
+        self.sketch.decay();
     }
 
-    /// Score all keys and execute the chosen migrations.
+    /// Plan a round and carry the plan out on every node at once.
     fn adapt(&self, shared: &Shared) -> SimDuration {
-        shared.metrics.node(NodeId(0)).inc(|m| &m.adaptation_rounds);
-        let (promos, demos) = self.score(shared);
-        if promos.is_empty() && demos.is_empty() {
-            if self.cfg.decay {
-                self.sketch.decay();
-            }
-            return SimDuration::ZERO;
-        }
-
-        let boundary = shared.gate.merge_boundary();
-        shared.obs.event(
-            boundary,
-            NodeId(0).0,
-            actor::SYNC,
-            "adapt_round",
-            promos.len() as u64,
-            demos.len() as u64,
-        );
-        let mut duration = SimDuration::ZERO;
-        // Demotions first: they free replica slots promotions can reuse.
-        if !demos.is_empty() {
-            duration += demote_keys(shared, &demos, boundary);
-        }
-        let promo_keys: Vec<Key> = promos.iter().map(|&(_, k)| k).collect();
-        if !promo_keys.is_empty() {
-            // Determinism requires that an already-issued localize is
-            // *always* honored before the flip, never raced: whether the
-            // home server had drained it when the guard went up is a
-            // real-time accident. Waiting for relocation quiescence first
-            // makes every pending chain complete in both runs; only then
-            // does the guard go up (pure defense — nothing is left for it
-            // to drop in any reachable schedule).
-            wait_relocation_quiescence(shared, &promo_keys);
-            shared.technique.begin_migrations(&promo_keys);
-            for &key in &promo_keys {
-                duration += promote_key(shared, key, boundary);
-            }
-            shared.technique.end_migrations();
-        }
-        shared.technique.bump_epoch();
-        // Demotions installed store entries and promotions redirected
-        // chains: wake any parked evaluation reads to re-check.
-        shared.runtime.notify_progress();
-        if self.cfg.decay {
-            self.sketch.decay();
-        }
+        let duration = match self.plan(shared) {
+            Some((promotions, demotions)) => migrate(shared, &promotions, &demotions),
+            None => SimDuration::ZERO,
+        };
+        self.sketch.decay();
         duration
     }
+}
+
+/// Carry out a plan on every node while all active workers are parked:
+/// demotions, then promotions. Returns the modelled migration time.
+fn migrate(shared: &Shared, promotions: &[(Key, u32)], demotions: &[Key]) -> SimDuration {
+    let boundary = shared.gate.merge_boundary();
+    shared.obs.event(
+        boundary,
+        ADAPT_LEADER.0,
+        actor::SYNC,
+        "adapt_round",
+        promotions.len() as u64,
+        demotions.len() as u64,
+    );
+    let mut duration = SimDuration::ZERO;
+    // Demotions first: they free the replica slots the plan hands on.
+    if !demotions.is_empty() {
+        duration += demote_keys(shared, demotions, boundary);
+    }
+    if !promotions.is_empty() {
+        // Determinism requires that an already-issued localize is *always*
+        // honored before the flip, never raced: whether the home server
+        // had drained it when the fence went up is a real-time accident.
+        // Waiting for relocation quiescence first makes every pending
+        // chain complete in both runs; only then do the fences go up, all
+        // of them before the first promotion: a worker that has not yet
+        // entered the gate can still issue a localize while the round
+        // runs, and it must be dropped for every key of the plan, not only
+        // for the one in progress.
+        wait_relocation_quiescence(shared, promotions);
+        for &(key, _) in promotions {
+            shared.technique.fence_key(key);
+        }
+        for &(key, slot) in promotions {
+            duration += promote_key(shared, key, slot, boundary);
+        }
+    }
+    shared.technique.bump_epoch();
+    // Demotions installed store entries and promotions redirected chains:
+    // wake any parked evaluation reads to re-check.
+    shared.runtime.notify_progress();
+    duration
 }
 
 /// Post a protocol message to `dst`'s server port over the fabric.
@@ -430,15 +443,16 @@ impl DistAdaptive {
     }
 }
 
-/// Park until no node holds an in-flight relocation mark for any of
-/// `keys`. A mark exists from the instant a worker issues a localize
-/// until the transfer installs, and every worker is parked, so the set of
-/// pending chains is fixed and finite; the server threads drain each one
-/// in bounded real time (each install wakes us via the runtime's progress
-/// notification), and no new mark can appear after the last one clears.
-fn wait_relocation_quiescence(shared: &Shared, keys: &[Key]) {
+/// Park until no node holds an in-flight relocation mark for any key the
+/// plan promotes. A mark exists from the instant a worker issues a
+/// localize until the transfer installs, and every worker is parked, so
+/// the set of pending chains is fixed and finite; the server threads
+/// drain each one in bounded real time (each install wakes us via the
+/// runtime's progress notification), and no new mark can appear after the
+/// last one clears.
+fn wait_relocation_quiescence(shared: &Shared, promotions: &[(Key, u32)]) {
     let quiesced = shared.runtime.wait_until(MIGRATION_SETTLE_TIMEOUT, &mut || {
-        !keys.iter().any(|&k| shared.nodes.iter().any(|n| n.store.is_inflight(k)))
+        !promotions.iter().any(|&(k, _)| shared.nodes.iter().any(|n| n.store.is_inflight(k)))
     });
     if !quiesced {
         // See the settle-loop comment in `promote_key`: a panic here would
@@ -455,14 +469,15 @@ fn count_migration_msgs(shared: &Shared, node: NodeId, peers: u16, payload: usiz
     m.add(|m| &m.migration_bytes, (peers as usize * (payload + WIRE_HEADER_BYTES)) as u64);
 }
 
-/// Migrate one key relocated → replicated. Runs on the coordinator while
+/// Migrate one fenced key relocated → replicated, into the replica `slot`
+/// the plan assigned it, and lift its fence. Runs on the coordinator while
 /// all active workers are parked; see the module docs for the settle/sweep
 /// protocol and its race arguments.
-fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
+fn promote_key(shared: &Shared, key: Key, slot: u32, boundary: SimTime) -> SimDuration {
     let home = shared.keyspace.home(key);
     let home_state = &shared.nodes[home.index()];
     // Settle: relocation chains for this key are finite (the migration
-    // guard blocks new ones) and every chain is visible through the home
+    // fence blocks new ones) and every chain is visible through the home
     // directory, so following the directory until the take succeeds
     // terminates. Server threads keep draining the chain in real time and
     // every install wakes this parked wait to retry the take.
@@ -488,7 +503,7 @@ fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
     let (owner, value) = (value.0, &mut value.1);
 
     // Sweep stale in-flight marks on every other node (their localize
-    // requests were — or will be — dropped by the migration guard). Any
+    // requests were — or will be — dropped by the migration fence). Any
     // parked operations fold into the taken value exactly once; replies go
     // out as real messages from that node's server address.
     for node in &shared.nodes {
@@ -520,11 +535,14 @@ fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
     // backing storage (no reachable schedule reads in between — a
     // worker-synchronous request outstanding during the round would mean
     // its sender never reached the rendezvous — but the order costs
-    // nothing and removes the window outright).
-    let slot = shared.technique.next_slot();
-    shared.sync.install_slot(slot, key, value);
-    let assigned = shared.technique.promote(key);
-    debug_assert_eq!(assigned, slot, "peeked slot must match the promoted slot");
+    // nothing and removes the window outright). The rendezvous never races
+    // a sync broadcast (workers and migrations are gated together), so the
+    // slot's era stays 0.
+    for node in &shared.nodes {
+        node.replicas.install_slot(slot, key, value.clone(), 0);
+    }
+    shared.technique.promote_to_slot(key, slot);
+    shared.technique.unfence_key(key);
     shared.obs.event(boundary, home.0, actor::SYNC, "promote", key, slot as u64);
 
     // Price: the owner broadcasts the value to every peer.
@@ -535,15 +553,26 @@ fn promote_key(shared: &Shared, key: Key, boundary: SimTime) -> SimDuration {
     shared.runtime.pricing().broadcast(peers, payload)
 }
 
-/// Migrate `demos` replicated → relocated: final delta all-reduce per
+/// Migrate `demotions` replicated → relocated: final delta all-reduce per
 /// slot, owner election (the home node), slot release.
-fn demote_keys(shared: &Shared, demos: &[(u64, Key)], boundary: SimTime) -> SimDuration {
+fn demote_keys(shared: &Shared, demotions: &[Key], boundary: SimTime) -> SimDuration {
     let peers = shared.topology.n_nodes - 1;
     let mut duration = SimDuration::ZERO;
     let mut allreduce_bytes = 0usize;
-    for &(_, key) in demos {
+    for &key in demotions {
         let slot = shared.technique.replica_slot(key).expect("demoted key has a slot");
-        let value = shared.sync.collapse_slot(slot);
+        // Seal every node's copy, then fold them into the one value a
+        // final all-reduce of the slot would leave: node 0's copy already
+        // holds its own unsynced deltas (`push` writes copy and
+        // accumulator together), the other nodes add their accumulators.
+        // Exact even if a late-chasing server push landed after the sync.
+        let mut sealed = shared.nodes.iter().map(|node| {
+            node.replicas.seal_slot(slot, key).expect("a demoted key owns its slot on every node")
+        });
+        let (mut value, _) = sealed.next().expect("a cluster has a node");
+        for (_, accum) in sealed {
+            add_assign(&mut value, &accum);
+        }
         allreduce_bytes += 4 + 4 * value.len();
         let owner = shared.keyspace.home(key);
         shared.nodes[owner.index()].store.install_demoted(key, value, boundary);
@@ -565,4 +594,79 @@ fn demote_keys(shared: &Shared, demos: &[(u64, Key)], boundary: SimTime) -> SimD
     }
     // One final all-reduce round carrying the demoted slots' last deltas.
     duration + shared.runtime.pricing().allreduce(shared.topology.sync_rounds(), allreduce_bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NupsConfig;
+    use crate::system::ParameterServer;
+    use nups_sim::cost::CostModel;
+    use nups_sim::topology::Topology;
+
+    #[test]
+    fn demotion_folds_unsynced_stragglers_into_the_value() {
+        // Key 4 lives in replica slot 0 on all three nodes; its home is
+        // node 2.
+        let cfg = NupsConfig::nups(Topology::new(3, 1), 6, 2)
+            .with_replicated_keys(vec![4])
+            .with_cost(CostModel::zero())
+            .with_adaptive(AdaptiveConfig::default());
+        let ps = ParameterServer::new(cfg, |_, v| v.fill(4.0));
+        let shared = ps.shared();
+        let push = |node: usize, delta: &[f32]| {
+            assert!(shared.nodes[node].replicas.push(0, 4, delta), "node {node} serves key 4");
+        };
+        // Pushes on two nodes, synced; one straggler after the sync.
+        push(0, &[1.0, 0.0]);
+        push(2, &[0.0, 1.0]);
+        ps.flush_replicas();
+        push(1, &[0.5, 0.5]);
+        demote_keys(shared, &[4], SimTime::ZERO);
+
+        assert!(!shared.technique.is_replicated(4));
+        assert_eq!(ps.read_value(4), vec![5.5, 5.5], "demotion must fold unsynced stragglers in");
+        for node in &shared.nodes {
+            assert_eq!(node.replicas.seal_slot(0, 4), None, "slot sealed on {}", node.node);
+        }
+        let metrics = &shared.metrics;
+        assert_eq!(shared.sync.sync_once(metrics), SimDuration::ZERO, "no dirty state left");
+        ps.shutdown();
+    }
+
+    #[test]
+    fn an_in_process_round_assigns_the_planned_slots() {
+        // Keys 1, 2, 3 start in slots 0, 1, 2. The sketch makes 1 and 3
+        // cold and 10, 20, 30 hot, so the round frees two slots, reuses
+        // them and appends a third.
+        let adaptive =
+            AdaptiveConfig { promote_factor: 2.0, demote_factor: 0.5, ..AdaptiveConfig::default() };
+        let cfg = NupsConfig::nups(Topology::new(2, 1), 64, 1)
+            .with_replicated_keys(vec![1, 2, 3])
+            .with_cost(CostModel::zero())
+            .with_adaptive(adaptive);
+        let ps = ParameterServer::new(cfg, |k, v| v.fill(k as f32));
+        let shared = ps.shared();
+        let mgr = shared.adaptive.as_ref().expect("adaptive server");
+        for (key, hits) in [(10, 1000), (20, 900), (30, 800), (2, 700)] {
+            (0..hits).for_each(|_| mgr.record_access(key));
+        }
+        let (promotions, demotions) = mgr.score(shared);
+        assert_eq!((&promotions[..], &demotions[..]), (&[10, 20, 30][..], &[1, 3][..]));
+        let planned = shared.technique.plan_slots(&demotions, &promotions);
+        assert_eq!(planned, [(10, 2), (20, 0), (30, 3)]);
+
+        mgr.adapt(shared);
+        let assigned: Vec<(Key, u32)> = promotions
+            .iter()
+            .map(|&key| (key, shared.technique.replica_slot(key).expect("promoted")))
+            .collect();
+        assert_eq!(assigned, planned, "the round carried out the plan's slot assignment");
+        assert_eq!(shared.technique.slot_entries(), [(0, 20), (1, 2), (2, 10), (3, 30)]);
+        let model = ps.read_all();
+        for key in [1, 2, 3, 10, 20, 30] {
+            assert_eq!(model[key as usize], vec![key as f32], "key {key} moved intact");
+        }
+        ps.shutdown();
+    }
 }

@@ -8,7 +8,6 @@ use nups_sim::topology::Topology;
 use crate::adaptive::AdaptiveConfig;
 use crate::key::Key;
 use crate::runtime::Backend;
-use crate::sampling::scheme::ReuseParams;
 use crate::value::ClipPolicy;
 
 /// Configuration of one NuPS-family parameter server.
@@ -31,10 +30,6 @@ pub struct NupsConfig {
     pub sync_period: SimDuration,
     /// Gradient clipping for replicated keys (paper: WV and MF tasks).
     pub clip: ClipPolicy,
-    /// Pool size G and use frequency U for the reuse sampling schemes.
-    pub reuse: ReuseParams,
-    /// Store shards per node.
-    pub store_shards: usize,
     /// Seed for worker RNGs (worker i derives `seed ^ i`).
     pub seed: u64,
     /// Adaptive technique management: when set, workers sample access
@@ -60,8 +55,6 @@ impl NupsConfig {
             relocation_enabled: true,
             sync_period: SimDuration::from_millis(40),
             clip: ClipPolicy::None,
-            reuse: ReuseParams::default(),
-            store_shards: 64,
             seed: 0x6e75_7073,
             adaptive: None,
             backend: Backend::Virtual,
@@ -100,11 +93,6 @@ impl NupsConfig {
 
     pub fn with_clip(mut self, clip: ClipPolicy) -> NupsConfig {
         self.clip = clip;
-        self
-    }
-
-    pub fn with_reuse(mut self, reuse: ReuseParams) -> NupsConfig {
-        self.reuse = reuse;
         self
     }
 
@@ -154,8 +142,9 @@ mod tests {
     fn paper_defaults() {
         let c = NupsConfig::nups(Topology::new(8, 8), 100, 8);
         assert_eq!(c.sync_period, SimDuration::from_millis(40));
-        assert_eq!(c.reuse.pool_size, 250);
-        assert_eq!(c.reuse.use_frequency, 16);
+        // The sampling manager's reuse schemes run with G = 250, U = 16.
+        let reuse = crate::sampling::scheme::ReuseParams::default();
+        assert_eq!((reuse.pool_size, reuse.use_frequency), (250, 16));
         assert_eq!(c.backend, Backend::Virtual, "simulation is the default backend");
         let w = c.with_backend(Backend::WallClock);
         assert_eq!(w.backend, Backend::WallClock);

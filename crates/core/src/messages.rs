@@ -154,16 +154,13 @@ pub enum Msg {
     SspBroadcast { updates: Vec<KeyUpdate> },
     /// ESSP: node `from` subscribes to eager maintenance of `keys`.
     SspSubscribe { from: NodeId, keys: Vec<Key> },
-
-    /// Shut an SSP server loop down. A NuPS server is stopped by dropping
-    /// its serve guard and journals this message as a bad frame.
-    Stop,
 }
 
 mod tag {
     // Tags 1-5 are retired (protocol version 1's single-key PullReq,
-    // PushReq, PullResp, PushAck, LocalizeReq). Never reuse them: a stray
-    // version-1 payload must decode to `UnknownTag`, not to a live message.
+    // PushReq, PullResp, PushAck, LocalizeReq), and so is 13 (an SSP
+    // server's `Stop`: a serve guard ends a service). Never reuse them: a
+    // stray old payload must decode to `UnknownTag`, not to a live message.
     pub const FORWARD_LOCALIZE: u8 = 6;
     pub const TRANSFER: u8 = 7;
     pub const SSP_PULL_REQ: u8 = 8;
@@ -171,7 +168,6 @@ mod tag {
     pub const SSP_FLUSH: u8 = 10;
     pub const SSP_BROADCAST: u8 = 11;
     pub const SSP_SUBSCRIBE: u8 = 12;
-    pub const STOP: u8 = 13;
     pub const PULL_BATCH_REQ: u8 = 14;
     pub const PULL_BATCH_RESP: u8 = 15;
     pub const PUSH_BATCH_REQ: u8 = 16;
@@ -329,7 +325,6 @@ impl WireEncode for Msg {
             Msg::SspFlush { updates, .. } => 2 + updates_len(updates),
             Msg::SspBroadcast { updates } => updates_len(updates),
             Msg::SspSubscribe { keys, .. } => 2 + codec::u64_slice_len(keys),
-            Msg::Stop => 0,
             Msg::PullBatchReq { keys, .. } => codec::u64_slice_len(keys) + ADDR_LEN + 1,
             Msg::PullBatchResp { values, .. } => updates_len(values) + 1,
             Msg::PushBatchReq { updates, .. } => updates_len(updates) + ADDR_LEN + 1,
@@ -388,7 +383,6 @@ impl WireEncode for Msg {
                 buf.put_u16_le(from.0);
                 codec::put_u64_slice(buf, keys);
             }
-            Msg::Stop => buf.put_u8(tag::STOP),
             Msg::PullBatchReq { keys, reply_to, hops } => {
                 buf.put_u8(tag::PULL_BATCH_REQ);
                 codec::put_u64_slice(buf, keys);
@@ -488,7 +482,6 @@ impl WireEncode for Msg {
             tag::SSP_SUBSCRIBE => {
                 Msg::SspSubscribe { from: NodeId(get_u16(buf)?), keys: codec::get_u64_vec(buf)? }
             }
-            tag::STOP => Msg::Stop,
             tag::PULL_BATCH_REQ => Msg::PullBatchReq {
                 keys: codec::get_u64_vec(buf)?,
                 reply_to: get_addr(buf)?,
@@ -573,7 +566,6 @@ mod tests {
         });
         roundtrip(Msg::SspBroadcast { updates: vec![] });
         roundtrip(Msg::SspSubscribe { from: NodeId(0), keys: vec![1, 2, 3] });
-        roundtrip(Msg::Stop);
         roundtrip(Msg::PullBatchReq { keys: vec![1, 5, 9], reply_to: addr, hops: 1 });
         roundtrip(Msg::PullBatchResp {
             values: vec![

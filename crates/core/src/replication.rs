@@ -152,7 +152,7 @@ impl SlotTable {
 /// One node's set of replicas, indexed by dense replica slot.
 ///
 /// The slot table grows when the adaptive technique manager promotes a key
-/// past the current capacity; freed slots are cleared in place and reused.
+/// past the current capacity; demotion seals a slot in place for reuse.
 /// In-process deployments grow only at synchronization rendezvous (workers
 /// parked); per-node deployments mutate slots from the server handler while
 /// workers run, which is what the per-slot tenancy keys are for. Neither
@@ -247,19 +247,10 @@ impl ReplicaSet {
         *self.slots.slot(slot).lock() = Slot::new(Some(key), value, era);
     }
 
-    /// Clear a freed slot (demotion): zero value and buffer and evict the
-    /// tenant so a stale delta cannot leak into the slot's next occupant.
-    pub fn clear_slot(&self, slot: u32) {
-        let mut s = self.slots.slot(slot).lock();
-        s.key = None;
-        s.value.iter_mut().for_each(|x| *x = 0.0);
-        s.accum.iter_mut().for_each(|x| *x = 0.0);
-        s.dirty = false;
-    }
-
     /// Atomically end `key`'s tenancy of `slot` and take its final
-    /// `(value, accum)` (distributed demotion). The slot is left empty.
-    /// `None` on a tenancy mismatch (the key was already evicted).
+    /// `(value, accum)` (demotion). The slot is left empty, so a stale
+    /// delta cannot leak into the slot's next occupant. `None` on a
+    /// tenancy mismatch (the key was already evicted).
     pub fn seal_slot(&self, slot: u32, key: Key) -> Option<(Vec<f32>, Vec<f32>)> {
         let mut s = self.slots.slot(slot).lock();
         if s.key != Some(key) {
@@ -272,36 +263,16 @@ impl ReplicaSet {
         Some((value, accum))
     }
 
-    /// Snapshot `(value, accum)` of one slot (demotion collapse).
-    fn value_and_accum(&self, slot: u32) -> (Vec<f32>, Vec<f32>) {
-        let s = self.slots.slot(slot).lock();
-        (s.value.clone(), s.accum.clone())
-    }
-
-    /// Take the accumulated deltas of all dirty slots, resetting them.
-    fn drain(&self) -> Vec<(u32, Vec<f32>)> {
+    /// Take the accumulated deltas of all dirty slots, resetting them, as
+    /// `(slot, era, tenant key, delta)` in slot order. The key and era are
+    /// what a receiver needs to re-route around concurrent migrations (the
+    /// [`Msg::ReplicaDeltas`] broadcast carries them). Era and accumulator
+    /// are read under the same slot lock, so a drained delta's era tag is
+    /// exact: the accumulator is emptied whenever a tenancy (and thus an
+    /// era) ends.
+    fn drain_keyed(&self) -> Vec<(u32, u64, Key, Vec<f32>)> {
         let mut out = Vec::new();
         for (i, slot) in self.slots.iter() {
-            let mut s = slot.lock();
-            if s.dirty {
-                let len = s.accum.len();
-                let taken = std::mem::replace(&mut s.accum, vec![0.0; len]);
-                s.dirty = false;
-                out.push((i, taken));
-            }
-        }
-        out
-    }
-
-    /// Like [`ReplicaSet::drain`], but keyed by the slots' tenant keys and
-    /// tagged with each slot's era — the shape the distributed
-    /// [`Msg::ReplicaDeltas`] broadcast carries, so receivers can re-route
-    /// around concurrent migrations. Era and accumulator are read under
-    /// the same slot lock, so a drained delta's era tag is exact: the
-    /// accumulator is emptied whenever a tenancy (and thus an era) ends.
-    fn drain_keyed(&self) -> Vec<(u64, Key, Vec<f32>)> {
-        let mut out = Vec::new();
-        for (_, slot) in self.slots.iter() {
             let mut s = slot.lock();
             if s.dirty {
                 if let Some(key) = s.key {
@@ -309,15 +280,16 @@ impl ReplicaSet {
                     let taken = std::mem::replace(&mut s.accum, vec![0.0; len]);
                     let era = s.era;
                     s.dirty = false;
-                    out.push((era, key, taken));
+                    out.push((i, era, key, taken));
                 }
             }
         }
         out
     }
 
-    /// Absorb the sum of *other* nodes' deltas for `slot`. In per-node
-    /// deployments the server calls this when a peer's
+    /// Absorb the sum of *other* nodes' deltas for `slot`: the in-process
+    /// merge applies each node's foreign total with it, and in per-node
+    /// deployments the server calls it when a peer's
     /// [`Msg::ReplicaDeltas`] broadcast arrives. `false` on a tenancy or
     /// era mismatch (nothing applied; the caller conserves the delta
     /// through the relocation path or drops it, see
@@ -341,15 +313,6 @@ impl ReplicaSet {
     #[cfg(test)]
     pub(crate) fn hold_growth_and_clip_locks(&self) -> impl Sized + '_ {
         (self.slots.grow.lock(), self.clip_state.lock())
-    }
-
-    /// Unkeyed foreign-delta apply for the in-process all-reduce, where
-    /// slot assignments cannot shift mid-merge (every worker is parked at
-    /// the rendezvous and migrations run under the same gate).
-    fn apply_foreign_slot(&self, slot: u32, delta: &[f32]) {
-        let mut s = self.slots.slot(slot).lock();
-        debug_assert!(s.key.is_some(), "in-process merge over an unoccupied slot {slot}");
-        add_assign(&mut s.value, delta);
     }
 }
 
@@ -425,7 +388,7 @@ impl ReplicaSync {
             return SimDuration::ZERO;
         }
         let mut by_era: Vec<(u64, Vec<KeyUpdate>)> = Vec::new();
-        for (era, key, delta) in drained {
+        for (_, era, key, delta) in drained {
             match by_era.iter_mut().find(|(e, _)| *e == era) {
                 Some((_, batch)) => batch.push(KeyUpdate { key, delta }),
                 None => by_era.push((era, vec![KeyUpdate { key, delta }])),
@@ -465,22 +428,25 @@ impl ReplicaSync {
             // Single node: drain buffers (they were already applied
             // locally) so they do not grow without bound.
             if n == 1 {
-                let _ = self.sets[0].drain();
+                let _ = self.sets[0].drain_keyed();
             }
             return SimDuration::ZERO;
         }
 
         // Drain every node's dirty deltas.
-        let per_node: Vec<Vec<(u32, Vec<f32>)>> = self.sets.iter().map(|s| s.drain()).collect();
+        let per_node: Vec<_> = self.sets.iter().map(|s| s.drain_keyed()).collect();
 
-        // Union of dirty slots and per-slot totals.
-        let mut totals: rustc_hash::FxHashMap<u32, Vec<f32>> = rustc_hash::FxHashMap::default();
+        // Union of dirty slots: per slot, its tenant's era and key (the
+        // same on every node — migrations run under the same gate) and
+        // the total delta.
+        let mut totals: rustc_hash::FxHashMap<u32, (u64, Key, Vec<f32>)> =
+            rustc_hash::FxHashMap::default();
         for deltas in &per_node {
-            for (slot, d) in deltas {
+            for (slot, era, key, d) in deltas {
                 match totals.get_mut(slot) {
-                    Some(t) => add_assign(t, d),
+                    Some((_, _, t)) => add_assign(t, d),
                     None => {
-                        totals.insert(*slot, d.clone());
+                        totals.insert(*slot, (*era, *key, d.clone()));
                     }
                 }
             }
@@ -493,18 +459,19 @@ impl ReplicaSync {
         // replica value).
         for (node_idx, set) in self.sets.iter().enumerate() {
             let own: rustc_hash::FxHashMap<u32, &Vec<f32>> =
-                per_node[node_idx].iter().map(|(s, d)| (*s, d)).collect();
-            for (slot, total) in &totals {
-                match own.get(slot) {
+                per_node[node_idx].iter().map(|(s, _, _, d)| (*s, d)).collect();
+            for (slot, (era, key, total)) in &totals {
+                let applied = match own.get(slot) {
                     Some(own_d) => {
                         let mut foreign = total.clone();
                         for (f, o) in foreign.iter_mut().zip(own_d.iter()) {
                             *f -= o;
                         }
-                        set.apply_foreign_slot(*slot, &foreign);
+                        set.apply_foreign(*slot, *key, *era, &foreign)
                     }
-                    None => set.apply_foreign_slot(*slot, total),
-                }
+                    None => set.apply_foreign(*slot, *key, *era, total),
+                };
+                debug_assert!(applied, "slot {slot} changed tenancy during the in-process merge");
             }
         }
 
@@ -523,51 +490,6 @@ impl ReplicaSync {
 
     pub fn sets(&self) -> &[std::sync::Arc<ReplicaSet>] {
         &self.sets
-    }
-
-    /// Install `value` as `key`'s replica in `slot` on every node (key
-    /// promotion). Not priced here — the adaptive manager prices the
-    /// promote broadcast. In a per-node deployment `sets` holds only this
-    /// process's node, which is the whole cluster exactly when `n_nodes ==
-    /// 1` (larger clusters promote via the leader-plan protocol instead).
-    pub fn install_slot(&self, slot: u32, key: Key, value: &[f32]) {
-        // Hard assert: in release builds a rendezvous-path install in a
-        // multi-node per-node deployment would silently desync slot state
-        // across processes, and the call is cold.
-        assert!(
-            self.distributed.is_none() || self.topology.n_nodes == 1,
-            "multi-node per-node deployments migrate via AdaptPlan, not the rendezvous path"
-        );
-        for set in &self.sets {
-            // The rendezvous path never races a sync broadcast (workers
-            // and migrations are gated together), so eras stay at 0.
-            set.install_slot(slot, key, value.to_vec(), 0);
-        }
-    }
-
-    /// Collapse `slot` into the single authoritative value for demotion:
-    /// the synced common state plus *every* node's unsynced local deltas
-    /// (exactly the result a final all-reduce of the slot would produce).
-    /// Clears the slot on every node afterwards. Callers normally run this
-    /// right after [`ReplicaSync::sync_once`], where all buffers are empty
-    /// — the accumulation makes the collapse exact even if a late-chasing
-    /// server operation snuck a delta in between.
-    pub fn collapse_slot(&self, slot: u32) -> Vec<f32> {
-        assert!(
-            self.distributed.is_none() || self.topology.n_nodes == 1,
-            "multi-node per-node deployments migrate via AdaptPlan, not the rendezvous path"
-        );
-        let (mut value, own_accum) = self.sets[0].value_and_accum(slot);
-        // set 0's value already contains its own accum; add the others'.
-        for set in &self.sets[1..] {
-            let (_, accum) = set.value_and_accum(slot);
-            add_assign(&mut value, &accum);
-        }
-        let _ = own_accum; // value_0 = common + accum_0, already included
-        for set in &self.sets {
-            set.clear_slot(slot);
-        }
-        value
     }
 }
 
@@ -624,7 +546,7 @@ mod tests {
         assert!(set.drain_keyed().is_empty());
         set.install_slot(0, 9, vec![7.0, 7.0], 0);
         assert!(set.push(0, 9, &[1.0, 1.0]));
-        assert_eq!(set.drain_keyed(), vec![(0, 9, vec![1.0, 1.0])]);
+        assert_eq!(set.drain_keyed(), vec![(0, 0, 9, vec![1.0, 1.0])]);
     }
 
     #[test]
@@ -664,7 +586,7 @@ mod tests {
             assert!(set.pull(slot, key_of(slot), &mut out), "slot {slot}");
             assert_eq!(out, vec![slot as f32 + 1.0], "slot {slot}");
         }
-        let drained: Vec<u32> = set.drain().into_iter().map(|(slot, _)| slot).collect();
+        let drained: Vec<u32> = set.drain_keyed().into_iter().map(|(slot, ..)| slot).collect();
         assert_eq!(drained, edges, "the scan visits slots in index order, across chunks");
     }
 
@@ -789,9 +711,9 @@ mod tests {
                 let mut sealed: VecDeque<Key> = VecDeque::new();
                 let mut fresh = START..KEYS;
                 let promote = |key: Key, era: u64, live: &mut VecDeque<Key>| {
-                    let slot = tm.next_slot();
+                    let slot = tm.plan_slots(&[], &[key])[0].1;
                     set.install_slot(slot, key, vec![0.0], era);
-                    assert_eq!(tm.promote(key), slot);
+                    tm.promote_to_slot(key, slot);
                     live.push_back(key);
                 };
                 for round in 1..=ROUNDS {
@@ -838,12 +760,12 @@ mod tests {
         let init: Vec<(Key, Vec<f32>)> = vec![(10, vec![0.0]), (20, vec![0.0])];
         let set = ReplicaSet::new(&init, ClipPolicy::None);
         assert!(set.push(1, 20, &[2.0]));
-        assert_eq!(set.drain_keyed(), vec![(0, 20, vec![2.0])]);
+        assert_eq!(set.drain_keyed(), vec![(1, 0, 20, vec![2.0])]);
         assert!(set.drain_keyed().is_empty(), "drain resets dirtiness");
         // A re-installed tenancy drains under the installing plan's era.
         set.install_slot(0, 10, vec![0.0], 7);
         assert!(set.push(0, 10, &[3.0]));
-        assert_eq!(set.drain_keyed(), vec![(7, 10, vec![3.0])]);
+        assert_eq!(set.drain_keyed(), vec![(0, 7, 10, vec![3.0])]);
     }
 
     #[test]
@@ -937,31 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn install_and_collapse_slot_roundtrip() {
-        let topo = Topology::new(3, 1);
-        let sets = make_sets(3, 1, 2);
-        let sync = ReplicaSync::new(sets.clone(), topo, CostModel::zero(), 2);
-        let metrics = ClusterMetrics::new(3);
-        // Promote installs a fresh slot 1 on every node.
-        sync.install_slot(1, 1, &[4.0, 4.0]);
-        for s in &sets {
-            assert_eq!(s.get(1), vec![4.0, 4.0]);
-        }
-        // Pushes on two nodes, one synced, one straggling after the sync.
-        push(&sets[0], 1, &[1.0, 0.0]);
-        push(&sets[2], 1, &[0.0, 1.0]);
-        sync.sync_once(&metrics);
-        push(&sets[1], 1, &[0.5, 0.5]); // straggler between sync and collapse
-        let v = sync.collapse_slot(1);
-        assert_eq!(v, vec![5.5, 5.5], "collapse must fold unsynced stragglers in");
-        // Slot cleared everywhere; reuse by a later promotion starts clean.
-        for s in &sets {
-            assert_eq!(s.get(1), vec![0.0, 0.0]);
-        }
-        assert_eq!(sync.sync_once(&metrics), SimDuration::ZERO, "no dirty state left behind");
-    }
-
-    #[test]
     fn install_slot_grows_by_one() {
         let set = ReplicaSet::new(&[(0, vec![1.0])], ClipPolicy::None);
         assert_eq!(set.n_slots(), 1);
@@ -972,7 +869,7 @@ mod tests {
         push(&set, 1, &[5.0]);
         set.install_slot(1, 1, vec![9.0], 0);
         assert_eq!(set.get(1), vec![9.0]);
-        assert!(set.drain().is_empty(), "install clears the dirty buffer");
+        assert!(set.drain_keyed().is_empty(), "install clears the dirty buffer");
     }
 
     #[test]

@@ -725,19 +725,7 @@ impl Server {
             let home = self.shared.keyspace.home(key);
             let sweep = self.state.store.sweep_for_promote(key);
             for op in sweep.waiters {
-                let fwd = match op {
-                    QueuedOp::Push { delta, reply_to, hops } => Msg::PushBatchReq {
-                        updates: vec![KeyUpdate { key, delta }],
-                        reply_to,
-                        hops: hops.saturating_add(1),
-                    },
-                    QueuedOp::Pull { reply_to, hops } => Msg::PullBatchReq {
-                        keys: vec![key],
-                        reply_to,
-                        hops: hops.saturating_add(1),
-                    },
-                };
-                self.send(Addr::server(home), at, &fwd);
+                self.send(Addr::server(home), at, &op.forward(key));
             }
             self.shared.runtime.notify_progress();
             return;

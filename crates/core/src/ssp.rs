@@ -29,7 +29,6 @@ use rand::SeedableRng;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use nups_sim::clock::ClusterClocks;
 use nups_sim::cost::CostModel;
@@ -43,9 +42,11 @@ use nups_sim::WireEncode;
 use crate::api::PsWorker;
 use crate::key::{Key, KeySpace};
 use crate::messages::{KeyUpdate, Msg};
-use crate::runtime::{build_runtime, Backend, Fabric, Port, Runtime, RuntimeClock, SimFabric};
+use crate::runtime::{
+    build_runtime, Backend, Fabric, Port, Runtime, RuntimeClock, ServeGuard, SimFabric,
+};
 use crate::sampling::{ConformityLevel, DistId, Distribution, DistributionKind, SampleHandle};
-use crate::store::Store;
+use crate::store::{Store, STORE_SHARDS};
 use crate::value::add_assign;
 
 /// Which replica-maintenance protocol to run.
@@ -142,7 +143,9 @@ struct SspShared {
 /// A running SSP/ESSP parameter server.
 pub struct SspPs {
     shared: Arc<SspShared>,
-    servers: Vec<JoinHandle<()>>,
+    /// One per node: its server address stays served until the guard
+    /// drops.
+    servers: Vec<ServeGuard>,
 }
 
 impl SspPs {
@@ -158,13 +161,12 @@ impl SspPs {
         let nodes: Vec<Arc<SspNode>> = topo
             .nodes()
             .map(|node| {
-                let store = Store::new(64);
+                let store = Store::new(STORE_SHARDS);
                 for key in keyspace.range_of(node) {
                     scratch.iter_mut().for_each(|x| *x = 0.0);
                     init(key, &mut scratch);
                     store.seed(key, scratch.clone());
                 }
-                let _ = node;
                 Arc::new(SspNode {
                     store,
                     cache: Mutex::new(FxHashMap::default()),
@@ -188,12 +190,9 @@ impl SspPs {
         let servers = topo
             .nodes()
             .map(|node| {
-                let endpoint = shared.fabric.bind(Addr::server(node));
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ssp-server-{node}"))
-                    .spawn(move || run_ssp_server(shared, node, endpoint))
-                    .expect("spawn ssp server")
+                let shared_by_handler = Arc::clone(&shared);
+                let handler = move |frame| serve_ssp(&shared_by_handler, node, frame);
+                shared.fabric.serve(Addr::server(node), Box::new(handler))
             })
             .collect();
 
@@ -263,101 +262,72 @@ impl SspPs {
         t
     }
 
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        if self.servers.is_empty() {
-            return;
-        }
-        for node in self.shared.cfg.topology.nodes() {
-            self.shared.fabric.post(Frame {
-                src: Addr::server(node),
-                dst: Addr::server(node),
-                sent_at: SimTime::ZERO,
-                payload: Msg::Stop.to_bytes(),
-            });
-        }
-        for h in self.servers.drain(..) {
-            let _ = h.join();
-        }
+    /// Stop serving: each serve guard ends its node's service (also on
+    /// drop).
+    pub fn shutdown(self) {
+        drop(self.servers);
     }
 }
 
-impl Drop for SspPs {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn run_ssp_server(shared: Arc<SspShared>, me: NodeId, endpoint: Box<dyn Port>) {
-    let state = Arc::clone(&shared.nodes[me.index()]);
-    while let Some(frame) = endpoint.recv() {
-        let mut payload = frame.payload;
-        let msg = match Msg::decode(&mut payload) {
-            Ok(m) => m,
-            Err(_) => continue,
-        };
-        match msg {
-            // SSP keys never relocate: every key stays local at its home.
-            Msg::SspPullReq { key, reply_to } => match state.store.get(key) {
-                Some(value) => {
-                    endpoint.send(
-                        reply_to,
-                        frame.sent_at,
-                        Msg::SspPullResp { key, value }.to_bytes(),
-                    );
-                }
-                None => debug_assert!(false, "SSP key {key} not at home {me}"),
-            },
-            Msg::SspFlush { from, updates } => {
-                // (ESSP) copy fresh deltas out for subscribers, then apply.
-                let mut per_subscriber: FxHashMap<NodeId, Vec<KeyUpdate>> = FxHashMap::default();
-                if shared.cfg.protocol == SspProtocol::Essp {
-                    let subs = state.subscribers.lock();
-                    for u in &updates {
-                        if let Some(nodes) = subs.get(&u.key) {
-                            for &n in nodes {
-                                if n != from {
-                                    per_subscriber.entry(n).or_default().push(u.clone());
-                                }
+/// Handle one frame at node `me`'s SSP server.
+fn serve_ssp(shared: &SspShared, me: NodeId, frame: Frame) {
+    let Frame { sent_at, mut payload, .. } = frame;
+    let Ok(msg) = Msg::decode(&mut payload) else { return };
+    let state = &shared.nodes[me.index()];
+    let reply = |dst: Addr, msg: Msg| {
+        shared.fabric.post(Frame { src: Addr::server(me), dst, sent_at, payload: msg.to_bytes() });
+    };
+    match msg {
+        // SSP keys never relocate: every key stays local at its home.
+        Msg::SspPullReq { key, reply_to } => match state.store.get(key) {
+            Some(value) => reply(reply_to, Msg::SspPullResp { key, value }),
+            None => debug_assert!(false, "SSP key {key} not at home {me}"),
+        },
+        Msg::SspFlush { from, updates } => {
+            // (ESSP) copy fresh deltas out for subscribers, then apply.
+            let mut per_subscriber: FxHashMap<NodeId, Vec<KeyUpdate>> = FxHashMap::default();
+            if shared.cfg.protocol == SspProtocol::Essp {
+                let subs = state.subscribers.lock();
+                for u in &updates {
+                    if let Some(nodes) = subs.get(&u.key) {
+                        for &n in nodes {
+                            if n != from {
+                                per_subscriber.entry(n).or_default().push(u.clone());
                             }
                         }
                     }
                 }
-                let _ = state.store.server_push_batch(updates, Addr::server(me), 1);
-                for (dst, updates) in per_subscriber {
-                    let msg = Msg::SspBroadcast { updates };
-                    let bytes = msg.encoded_len();
-                    endpoint.send(Addr::server(dst), frame.sent_at, msg.to_bytes());
-                    // Eager propagation is background server work.
-                    state.background_busy.fetch_add(
-                        shared.runtime.pricing().message(bytes).as_nanos(),
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                }
             }
-            Msg::SspBroadcast { updates } => {
-                let mut cache = state.cache.lock();
-                for u in updates {
-                    if let Some(e) = cache.get_mut(&u.key) {
-                        add_assign(&mut e.value, &u.delta);
-                    }
-                }
+            let _ = state.store.server_push_batch(updates, Addr::server(me), 1);
+            for (dst, updates) in per_subscriber {
+                let msg = Msg::SspBroadcast { updates };
+                let bytes = msg.encoded_len();
+                reply(Addr::server(dst), msg);
+                // Eager propagation is background server work.
+                state.background_busy.fetch_add(
+                    shared.runtime.pricing().message(bytes).as_nanos(),
+                    std::sync::atomic::Ordering::Relaxed,
+                );
             }
-            Msg::SspSubscribe { from, keys } => {
-                let mut subs = state.subscribers.lock();
-                for k in keys {
-                    let list = subs.entry(k).or_default();
-                    if !list.contains(&from) {
-                        list.push(from);
-                    }
-                }
-            }
-            Msg::Stop => break,
-            other => debug_assert!(false, "unexpected message at SSP server: {other:?}"),
         }
+        Msg::SspBroadcast { updates } => {
+            let mut cache = state.cache.lock();
+            for u in updates {
+                if let Some(e) = cache.get_mut(&u.key) {
+                    add_assign(&mut e.value, &u.delta);
+                }
+            }
+        }
+        Msg::SspSubscribe { from, keys } => {
+            let mut subs = state.subscribers.lock();
+            for k in keys {
+                let list = subs.entry(k).or_default();
+                if !list.contains(&from) {
+                    list.push(from);
+                }
+            }
+        }
+        other => debug_assert!(false, "unexpected message at SSP server: {other:?}"),
     }
 }
 

@@ -39,14 +39,34 @@ use nups_sim::time::SimTime;
 use nups_sim::topology::{Addr, NodeId};
 
 use crate::key::Key;
-use crate::messages::KeyUpdate;
+use crate::messages::{KeyUpdate, Msg};
 use crate::value::add_assign;
+
+/// Shards of every node's store.
+pub(crate) const STORE_SHARDS: usize = 64;
 
 /// An operation from a remote node queued on an in-flight entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueuedOp {
     Pull { reply_to: Addr, hops: u8 },
     Push { delta: Vec<f32>, reply_to: Addr, hops: u8 },
+}
+
+impl QueuedOp {
+    /// The request that re-issues this operation on `key` one hop further
+    /// on, for a node that cannot serve it any more.
+    pub(crate) fn forward(self, key: Key) -> Msg {
+        match self {
+            QueuedOp::Push { delta, reply_to, hops } => Msg::PushBatchReq {
+                updates: vec![KeyUpdate { key, delta }],
+                reply_to,
+                hops: hops.saturating_add(1),
+            },
+            QueuedOp::Pull { reply_to, hops } => {
+                Msg::PullBatchReq { keys: vec![key], reply_to, hops: hops.saturating_add(1) }
+            }
+        }
+    }
 }
 
 /// State of one key at one node.

@@ -19,10 +19,10 @@ use crate::messages::{KeyUpdate, Msg};
 use crate::node::{Directory, NodeState, Shared};
 use crate::replication::{ReplicaSet, ReplicaSync};
 use crate::runtime::{build_runtime, Backend, Fabric, RecvOutcome, ServeGuard, SimFabric};
-use crate::sampling::scheme::SamplingScheme;
+use crate::sampling::scheme::{ReuseParams, SamplingScheme};
 use crate::sampling::{ConformityLevel, DistId, Distribution, DistributionKind};
 use crate::server::Server;
-use crate::store::Store;
+use crate::store::{Store, STORE_SHARDS};
 use crate::syncgate::{SyncGate, SyncStats};
 use crate::technique::{Technique, TechniqueMap};
 use crate::worker::NupsWorker;
@@ -147,7 +147,7 @@ impl ParameterServer {
 
         let mut nodes = Vec::with_capacity(topo.n_nodes as usize);
         for node in topo.nodes() {
-            let store = Store::new(config.store_shards);
+            let store = Store::new(STORE_SHARDS);
             let range = keyspace.range_of(node);
             // Seed only the nodes this process hosts: a remote node's
             // store stays empty here, so its keys route as remote instead
@@ -240,7 +240,10 @@ impl ParameterServer {
 
     /// Register a sampling distribution (Section 4.3's
     /// `register_distribution(π, L)`). Must happen before workers are
-    /// created. The sampling manager selects the scheme for the level.
+    /// created. The sampling manager selects the scheme for the level; its
+    /// reuse schemes take the default pool size and use frequency
+    /// ([`ReuseParams::default`]), and
+    /// [`ParameterServer::register_distribution_with_scheme`] takes others.
     pub fn register_distribution(
         &self,
         base_key: Key,
@@ -249,7 +252,7 @@ impl ParameterServer {
         level: ConformityLevel,
     ) -> DistId {
         let dist = Distribution::new(base_key, n, kind, level);
-        let scheme = SamplingScheme::for_level(level, self.config.reuse);
+        let scheme = SamplingScheme::for_level(level, ReuseParams::default());
         let mut dists = self.shared.dists.lock();
         dists.push(Arc::new((dist, scheme)));
         DistId(dists.len() - 1)
@@ -410,6 +413,12 @@ impl ParameterServer {
 
     pub fn config(&self) -> &NupsConfig {
         &self.config
+    }
+
+    /// The state every server and worker thread shares.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
     }
 
     /// The cluster-wide elapsed time on the runtime's timeline — the

@@ -204,46 +204,14 @@ impl TechniqueMap {
         self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// The slot the next [`TechniqueMap::promote`] will assign (topmost
-    /// freed slot, else one past the end). Only the single-threaded
-    /// migration coordinator allocates, so peek-then-promote is stable;
-    /// it lets the caller install the replica value *before* publishing
-    /// the slot, so no reader can ever observe a published slot that is
-    /// not yet backed by storage.
-    pub(crate) fn next_slot(&self) -> u32 {
-        let inner = self.inner.read();
-        match inner.free_slots.last() {
-            Some(&s) => s,
-            None => inner.slot_keys.len() as u32,
-        }
-    }
-
-    /// Flip `key` to replication, allocating a replica slot (reusing a
-    /// freed one when available). Returns the slot. Caller must install
-    /// the key's value into every node's replica set *before* calling
-    /// this (see [`TechniqueMap::next_slot`]).
-    pub(crate) fn promote(&self, key: Key) -> u32 {
-        let mut inner = self.inner.write();
-        assert!(!self.is_replicated(key), "promote of already-replicated key {key}");
-        let slot = match inner.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                inner.slot_keys.push(None);
-                (inner.slot_keys.len() - 1) as u32
-            }
-        };
-        inner.slot_keys[slot as usize] = Some(key);
-        self.routes[key as usize].store(slot, Ordering::Release);
-        slot
-    }
-
-    /// Flip `key` to replication in the *leader-assigned* slot (per-node
-    /// deployments, where every node installs the slot a
-    /// [`crate::messages::Msg::AdaptPlan`] dictates instead of allocating
-    /// locally). Removes the slot from the free list if it is there, or
-    /// grows the slot table — with free holes — up to it; promotions of one
-    /// plan can complete out of order, so the slot is not necessarily this
-    /// node's own `next_slot`.
+    /// Flip `key` to replication in the slot the adaptation plan assigned
+    /// it ([`TechniqueMap::plan_slots`]). Removes the slot from the free
+    /// list if it is there, or grows the slot table — with free holes — up
+    /// to it: in per-node deployments the promotions of one plan can
+    /// complete out of order, so the slot need not be the next free one.
+    /// Caller must install the key's value into the node's replica set
+    /// *before* calling this, so no reader can observe a published slot
+    /// that is not yet backed by storage.
     pub(crate) fn promote_to_slot(&self, key: Key, slot: u32) {
         let mut inner = self.inner.write();
         assert!(!self.is_replicated(key), "promote of already-replicated key {key}");
@@ -256,15 +224,16 @@ impl TechniqueMap {
         } else if let Some(pos) = inner.free_slots.iter().rposition(|&s| s == slot) {
             inner.free_slots.remove(pos);
         }
-        debug_assert_eq!(inner.slot_keys[i], None, "leader assigned an occupied slot {slot}");
+        debug_assert_eq!(inner.slot_keys[i], None, "plan assigned an occupied slot {slot}");
         inner.slot_keys[i] = Some(key);
         self.routes[key as usize].store(slot, Ordering::Release);
     }
 
-    /// Simulate the slot assignment the leader's plan dictates: demotions
-    /// free their slots in plan order (LIFO, exactly like
-    /// [`TechniqueMap::demote`]), then each promotion pops a free slot or
-    /// appends. Read-only — the actual flips happen when the plan applies.
+    /// The slot assignment of an adaptation plan: demotions free their
+    /// slots in plan order (LIFO, exactly like [`TechniqueMap::demote`]),
+    /// then each promotion pops a free slot or appends. Read-only — the
+    /// flips happen when the plan is carried out, by the in-process round
+    /// or by every node's server.
     pub(crate) fn plan_slots(&self, demotions: &[Key], promotions: &[Key]) -> Vec<(Key, u32)> {
         let inner = self.inner.read();
         let mut free = inner.free_slots.clone();
@@ -289,8 +258,7 @@ impl TechniqueMap {
 
     /// Flip `key` back to relocation, freeing its replica slot. Returns the
     /// freed slot. Caller must have collapsed the replicas into a single
-    /// owned store entry first — sealing or clearing the slot *before* this
-    /// flip, so a reader still holding the old route misses on the slot's
+    /// owned store entry first — sealing the slot *before* this flip, so a reader still holding the old route misses on the slot's
     /// tenancy check instead of writing into a freed slot.
     pub(crate) fn demote(&self, key: Key) -> u32 {
         let mut inner = self.inner.write();
@@ -302,20 +270,8 @@ impl TechniqueMap {
         slot
     }
 
-    /// Mark `keys` as mid-promotion (blocks new relocations at the home
-    /// server until [`TechniqueMap::end_migrations`]).
-    pub(crate) fn begin_migrations(&self, keys: &[Key]) {
-        self.migrating.lock().extend(keys.iter().copied());
-    }
-
-    pub(crate) fn end_migrations(&self) {
-        self.migrating.lock().clear();
-    }
-
-    /// Per-key migration fence (per-node deployments, where promotions
-    /// complete asynchronously and one at a time rather than under a
-    /// single rendezvous): block new relocations of `key` until
-    /// [`TechniqueMap::unfence_key`].
+    /// Migration fence for a key being promoted: block new relocations of
+    /// `key` until [`TechniqueMap::unfence_key`].
     pub(crate) fn fence_key(&self, key: Key) {
         self.migrating.lock().insert(key);
     }
@@ -403,9 +359,14 @@ mod tests {
     #[test]
     fn promote_and_demote_flip_assignment_and_reuse_slots() {
         let tm = TechniqueMap::from_replicated_keys(10, &[3, 4]);
+        // One key per plan, promoted into the slot the plan assigns.
+        let promote = |key: Key| {
+            let slot = tm.plan_slots(&[], &[key])[0].1;
+            tm.promote_to_slot(key, slot);
+            slot
+        };
         assert_eq!(tm.epoch(), 0);
-        let s = tm.promote(7);
-        assert_eq!(s, 2, "fresh slot appended");
+        assert_eq!(promote(7), 2, "fresh slot appended");
         assert!(tm.is_replicated(7));
         assert_eq!(tm.replica_slot(7), Some(2));
 
@@ -417,7 +378,7 @@ mod tests {
         assert_eq!(tm.replicated_keys(), vec![4, 7], "slot order, hole skipped");
 
         // Next promotion reuses the freed slot.
-        assert_eq!(tm.promote(9), 0);
+        assert_eq!(promote(9), 0);
         assert_eq!(tm.slot_entries(), vec![(0, 9), (1, 4), (2, 7)]);
         tm.bump_epoch();
         assert_eq!(tm.epoch(), 1);
@@ -428,12 +389,14 @@ mod tests {
         let tm = TechniqueMap::from_replicated_keys(10, &[1]);
         assert!(tm.localize_blocked(1), "replicated keys never relocate");
         assert!(!tm.localize_blocked(5));
-        tm.begin_migrations(&[5, 6]);
+        tm.fence_key(5);
+        tm.fence_key(6);
         assert!(tm.localize_blocked(5));
         assert!(tm.localize_blocked(6));
         assert!(!tm.localize_blocked(7));
-        tm.end_migrations();
+        tm.unfence_key(5);
         assert!(!tm.localize_blocked(5));
+        assert!(tm.localize_blocked(6), "fences lift one key at a time");
     }
 
     #[test]
@@ -447,7 +410,7 @@ mod tests {
         // skipped slots become free holes a later completion fills.
         tm.promote_to_slot(8, 4);
         assert_eq!(tm.replica_slot(8), Some(4));
-        assert_eq!(tm.next_slot(), 3, "hole slots are free for reuse");
+        assert_eq!(tm.plan_slots(&[], &[9]), vec![(9, 3)], "hole slots are free for reuse");
         tm.promote_to_slot(9, 3);
         tm.promote_to_slot(5, 2);
         assert_eq!(tm.slot_entries(), vec![(0, 7), (1, 4), (2, 5), (3, 9), (4, 8)]);
@@ -483,7 +446,7 @@ mod tests {
     #[should_panic(expected = "promote of already-replicated")]
     fn double_promote_panics() {
         let tm = TechniqueMap::from_replicated_keys(4, &[1]);
-        tm.promote(1);
+        tm.promote_to_slot(1, 1);
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn adaptive_cfg(topology: Topology) -> NupsConfig {
         max_replicated: 8,
         max_migrations_per_round: 4,
         sketch_bits: 10,
-        decay: true,
     })
 }
 
@@ -215,7 +214,6 @@ fn churn_cfg(topology: Topology) -> NupsConfig {
         max_replicated: 4,
         max_migrations_per_round: 8,
         sketch_bits: 10,
-        decay: true,
     })
 }
 

@@ -205,9 +205,12 @@ fn hostile_frames_are_journaled_and_the_server_stays_up() {
     assert_eq!(bad(), expected, "one (tag, length) record per dropped frame");
 
     // A message that decodes but that no relocation server accepts is
-    // dropped the same way — `Stop` included: ending a server's service
-    // is its serve guard's job, not something a frame can ask for.
-    for stray in [Msg::SspBroadcast { updates: Vec::new() }, Msg::Stop] {
+    // dropped the same way.
+    let strays = [
+        Msg::SspBroadcast { updates: Vec::new() },
+        Msg::SspSubscribe { from: NodeId(1), keys: vec![3] },
+    ];
+    for stray in strays {
         let stray = stray.to_bytes().to_vec();
         let stray_record = (stray[0] as u64, stray.len() as u64);
         post(stray);

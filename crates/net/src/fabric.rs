@@ -1009,7 +1009,7 @@ mod tests {
     /// Hostile bytes on an inbound link, against a live parameter server:
     /// frames nothing here can take are journaled and dropped with the
     /// link intact — among them a request whose reply address is a node
-    /// this fabric has no link to, and a `Stop` — and a stream that stops
+    /// this fabric has no link to, and an SSP message — and a stream that stops
     /// parsing as frames costs only that link, in debug builds too.
     #[test]
     fn bad_inbound_frames_are_journaled_and_leave_the_node_up() {
@@ -1065,11 +1065,12 @@ mod tests {
         // Served, but the reply has nowhere to go: node 7 is outside the
         // topology, and this fabric has no outbound link at all.
         send(server, 30, pull(1, Addr::worker(NodeId(7), 0)));
-        send(server, 40, Msg::Stop.to_bytes());
+        let stray = Msg::SspBroadcast { updates: Vec::new() }.to_bytes();
+        send(server, 40, stray.clone());
         send(server, 50, pull(2, here));
         // Per-link FIFO: the answer to the last request proves the four
         // frames before it were dropped without costing the link — or,
-        // for the `Stop`, the server.
+        // for the SSP message, the server.
         served(2);
 
         send(server, 60, Bytes::from_static(&[0xAB; 64][..32]));
@@ -1091,7 +1092,7 @@ mod tests {
                 // The undeliverable reply: its port and payload length.
                 (SimTime(30), actor::FABRIC, here.port as u64, reply_len),
                 // The server's records are (first payload byte, length).
-                (SimTime(40), actor::SERVER, Msg::Stop.to_bytes()[0] as u64, 1),
+                (SimTime(40), actor::SERVER, stray[0] as u64, stray.len() as u64),
                 (SimTime(60), actor::SERVER, 0xAB, 32),
                 // Bad magic (rule 1), stamped with the link's last good frame.
                 (SimTime(60), actor::FABRIC, 1, 0xABAB_ABAB),

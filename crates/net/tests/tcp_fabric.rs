@@ -195,7 +195,6 @@ fn adaptive_cfg(topology: Topology) -> NupsConfig {
         max_replicated: 8,
         max_migrations_per_round: 4,
         sketch_bits: 10,
-        decay: true,
     })
 }
 
