@@ -5,12 +5,17 @@
 //! training* from dataset statistics and concedes the choice can be wrong
 //! when access patterns shift. This module makes the choice adaptive:
 //!
-//! * Workers sample every key access into a lightweight count-min sketch
-//!   ([`nups_sim::metrics::FreqSketch`]) — one relaxed atomic increment per
-//!   row on the hot path.
+//! * Workers count every key access in their node's exact access window
+//!   ([`nups_sim::metrics::AccessWindow`]): one relaxed atomic add on the
+//!   key's own counter, plus a list append on the key's first access since
+//!   the last round.
 //! * At every `adapt_every`-th replica-synchronization rendezvous, the
 //!   last-arriving worker (the *coordinator* — the same rendezvous
-//!   substitution replica sync uses) re-scores all keys against the
+//!   substitution replica sync uses) runs an adaptation round. One party
+//!   owns the count-min sketch ([`nups_sim::metrics::FreqSketch`]): the
+//!   *scorer* — this manager in process, node 0 in per-node deployments,
+//!   whose peers ship their windows as [`Msg::SketchReport`]s and hold no
+//!   sketch. It folds every window into the sketch and scores against the
 //!   paper's replication-benefit heuristic: promote a relocated key whose
 //!   estimated frequency exceeds `promote_factor ×` the mean, demote a
 //!   replicated key that fell below `demote_factor ×` the mean
@@ -19,6 +24,18 @@
 //!   replica slot [`TechniqueMap::plan_slots`](crate::technique::TechniqueMap::plan_slots)
 //!   assigns it — and the in-process round below carries out exactly the
 //!   plan a per-node leader would broadcast, with the same primitives.
+//! * **What a round costs**: O(keys accessed since the previous round +
+//!   candidates + replicated keys), never O(key space). A fold is one
+//!   sketch add per `(key, count)` pair; scoring visits the *candidates* —
+//!   the keys folded since their estimate last fell to 0 — with one route
+//!   load each, and the replicated keys, from the slot table; decay halves
+//!   only the nonzero sketch cells. The plans are those a scan of every key
+//!   would make, with one intended difference: a key with no accesses of
+//!   its own since its estimate last reached 0, whose two cells other keys
+//!   have filled, is never promoted (a full scan promotes such a phantom).
+//!   Each round journals the entries it visited (`adapt_round_cost`), its
+//!   thresholds as integer counts (`adapt_thresholds`) and every planned
+//!   key with its estimate (`adapt_promote` / `adapt_demote`).
 //! * Migrations execute while **every active worker is parked at the
 //!   gate**, which is what makes the whole scheme deterministic in virtual
 //!   time: the sketch contents at a rendezvous are a pure function of the
@@ -53,7 +70,7 @@ use parking_lot::{Mutex, MutexGuard};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use nups_sim::cost::WIRE_HEADER_BYTES;
-use nups_sim::metrics::FreqSketch;
+use nups_sim::metrics::{AccessWindow, FreqSketch};
 use nups_sim::net::Frame;
 use nups_sim::time::{SimDuration, SimTime};
 use nups_sim::topology::{Addr, NodeId};
@@ -64,6 +81,7 @@ use crate::key::Key;
 use crate::messages::Msg;
 use crate::node::Shared;
 use crate::store::{PromoteTake, QueuedOp};
+use crate::technique::TechniqueMap;
 use crate::value::add_assign;
 
 /// An adaptation round's migrations, as [`Msg::AdaptPlan`] carries them:
@@ -116,30 +134,55 @@ impl Default for AdaptiveConfig {
 /// The online hot-key detector plus migration coordinator.
 pub struct AdaptiveManager {
     cfg: AdaptiveConfig,
-    sketch: FreqSketch,
+    /// This node's accesses since its last round.
+    window: AccessWindow,
+    /// Created by the first fold: only the in-process manager and the
+    /// per-node leader ever fold, so a peer holds no sketch.
+    scorer: Mutex<Option<Scorer>>,
     merges: AtomicU64,
 }
 
 impl AdaptiveManager {
     pub fn new(cfg: AdaptiveConfig) -> AdaptiveManager {
-        let sketch = FreqSketch::new(cfg.sketch_bits);
-        AdaptiveManager { cfg, sketch, merges: AtomicU64::new(0) }
+        AdaptiveManager {
+            cfg,
+            window: AccessWindow::new(),
+            scorer: Mutex::new(None),
+            merges: AtomicU64::new(0),
+        }
     }
 
     pub fn config(&self) -> &AdaptiveConfig {
         &self.cfg
     }
 
-    /// Record one access to `key`: one relaxed atomic increment per sketch
-    /// row plus the total. (Workers record a whole call at once, through
-    /// [`crate::node::Shared::record_accesses`].)
+    /// Record one access to `key` in this node's window: one relaxed
+    /// atomic add, plus a list append on the key's first access since the
+    /// last round. Workers record a whole call at once through
+    /// [`AdaptiveManager::record_accesses`], which takes this path key by
+    /// key.
     #[inline]
     pub fn record_access(&self, key: Key) {
-        self.sketch.record(key, 1);
+        self.window.record(key);
     }
 
-    pub fn sketch(&self) -> &FreqSketch {
-        &self.sketch
+    /// Record one access per entry of `keys`.
+    #[inline]
+    pub fn record_accesses(&self, keys: &[Key]) {
+        self.window.record_keys(keys);
+    }
+
+    /// Run `f` on the scorer of a `n_keys`-key space, creating it on first
+    /// use.
+    fn with_scorer<R>(&self, n_keys: u64, f: impl FnOnce(&mut Scorer) -> R) -> R {
+        let mut scorer = self.scorer.lock();
+        f(scorer.get_or_insert_with(|| Scorer::new(self.cfg.sketch_bits, n_keys)))
+    }
+
+    /// Leader: fold a peer's [`Msg::SketchReport`] into the sketch. Every
+    /// key must lie in the `n_keys`-key space (the server drops the rest).
+    pub(crate) fn fold_report(&self, n_keys: u64, counts: &[(Key, u64)]) {
+        self.with_scorer(n_keys, |scorer| scorer.fold(counts));
     }
 
     /// Called by the synchronization merge (all active workers parked).
@@ -149,7 +192,7 @@ impl AdaptiveManager {
     /// multiplier — migration traffic competes like sync traffic does).
     ///
     /// Per-node deployments take the distributed branch instead: peers ship
-    /// their sketch window to the leader, the leader scores from the merged
+    /// their access window to the leader, the leader scores from the merged
     /// view and broadcasts a plan; the plan's migrations execute on the
     /// servers, never under this gate.
     pub fn maybe_adapt(&self, shared: &Shared) -> SimDuration {
@@ -164,89 +207,69 @@ impl AdaptiveManager {
         self.adapt(shared)
     }
 
-    /// Score all keys against the merged sketch: `(promotions, demotions)`,
-    /// hottest promotions first, coldest demotions first, ties broken by
-    /// key, both truncated to the configured per-round and capacity
-    /// bounds. Deterministic in the sketch contents and the current
-    /// technique map.
-    fn score(&self, shared: &Shared) -> (Vec<Key>, Vec<Key>) {
-        let total = self.sketch.total();
-        if total == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let n_keys = shared.keyspace.n_keys();
-        let mean = total as f64 / n_keys as f64;
-        let promote_thr = (self.cfg.promote_factor * mean).max(1.0);
-        let demote_thr = self.cfg.demote_factor * mean;
-
-        let replicated = shared.technique.replicated_flags();
-        let mut promos: Vec<(u64, Key)> = Vec::new();
-        let mut demos: Vec<(u64, Key)> = Vec::new();
-        for key in 0..n_keys {
-            let est = self.sketch.estimate(key);
-            if replicated[key as usize] {
-                if (est as f64) < demote_thr {
-                    demos.push((est, key));
-                }
-            } else if est as f64 > promote_thr {
-                promos.push((est, key));
-            }
-        }
-        promos.sort_by_key(|&(est, key)| (Reverse(est), key));
-        demos.sort_by_key(|&(est, key)| (est, key));
-        demos.truncate(self.cfg.max_migrations_per_round);
-        let slots_after_demote = shared.technique.n_replicated().saturating_sub(demos.len());
-        let capacity = self.cfg.max_replicated.saturating_sub(slots_after_demote);
-        promos.truncate(self.cfg.max_migrations_per_round.min(capacity));
-        let keys = |scored: Vec<(u64, Key)>| scored.into_iter().map(|(_, key)| key).collect();
-        (keys(promos), keys(demos))
-    }
-
-    /// Count a round and plan it, as the leader broadcasts the plan and
-    /// the in-process round carries it out: `(promotions, demotions)`,
-    /// each promotion with the replica slot [`TechniqueMap::plan_slots`]
-    /// assigns once the demotions freed theirs. `None` when no key
-    /// migrates. Either caller halves the sketch once the round is done,
-    /// so drifting hot sets age out.
-    ///
-    /// [`TechniqueMap::plan_slots`]: crate::technique::TechniqueMap::plan_slots
-    fn plan(&self, shared: &Shared) -> Option<Plan> {
+    /// Count a round scored under the scorer lock and plan it, outside the
+    /// lock, as the leader broadcasts the plan and the in-process round
+    /// carries it out: `(promotions, demotions)`, each promotion with the
+    /// replica slot [`TechniqueMap::plan_slots`] assigns once the demotions
+    /// freed theirs. `None` when no key migrates. Journals the entries the
+    /// round visited, its thresholds and every planned key with its
+    /// estimate.
+    fn plan(&self, shared: &Shared, (scored, visited, candidates): ScoredRound) -> Option<Plan> {
         shared.metrics.node(ADAPT_LEADER).inc(|m| &m.adaptation_rounds);
-        let (promos, demos) = self.score(shared);
-        if promos.is_empty() && demos.is_empty() {
+        let journal = |name, a, b| {
+            let at = shared.gate.merge_boundary();
+            shared.obs.event(at, ADAPT_LEADER.0, actor::SYNC, name, a, b);
+        };
+        journal("adapt_round_cost", visited, candidates);
+        let scored = scored?;
+        journal("adapt_thresholds", scored.promote_above, scored.demote_below);
+        for &(est, key) in &scored.promotions {
+            journal("adapt_promote", key, est);
+        }
+        for &(est, key) in &scored.demotions {
+            journal("adapt_demote", key, est);
+        }
+        if scored.promotions.is_empty() && scored.demotions.is_empty() {
             return None;
         }
-        Some((shared.technique.plan_slots(&demos, &promos), demos))
+        let demotions = keys_of(&scored.demotions);
+        Some((shared.technique.plan_slots(&demotions, &keys_of(&scored.promotions)), demotions))
     }
 
     /// One distributed adaptation round at a due merge. Peers ship their
-    /// sketch window to the leader; the leader scores and broadcasts a
-    /// versioned plan — but only once the previous plan fully settled
-    /// locally, so its technique map (and thus the slot assignment it
-    /// simulates) reflects every migration it has ever issued.
+    /// access window to the leader; the leader folds its own, scores and
+    /// broadcasts a versioned plan — but only once the previous plan fully
+    /// settled locally, so its technique map (and thus the slot assignment
+    /// it simulates) reflects every migration it has ever issued.
     fn adapt_distributed(&self, shared: &Shared, dist: &DistAdaptive) {
         let boundary = shared.gate.merge_boundary();
+        let window = self.window.drain();
         if dist.me != ADAPT_LEADER {
-            let (rows, total) = self.sketch.drain_sparse();
-            if total == 0 {
-                return;
+            if !window.is_empty() {
+                let report = Msg::SketchReport { from: dist.me, counts: window };
+                post_server(shared, dist.me, ADAPT_LEADER, boundary, &report);
             }
-            let [row0, row1] = rows;
-            let report = Msg::SketchReport { from: dist.me, total, row0, row1 };
-            post_server(shared, dist.me, ADAPT_LEADER, boundary, &report);
             return;
         }
-        let issued = dist.last_issued();
-        if !dist.quiesced(issued) || !dist.all_acked(issued) {
-            // The previous plan is still migrating somewhere in the
-            // cluster; a new plan could then demote a key whose promotion
-            // a lagging peer has not even installed, and the leader's
-            // technique map would mis-assign slots. Skip the round — the
-            // sketch keeps accumulating, and serializing rounds cluster-
-            // wide keeps at most one plan's traffic in flight.
-            return;
-        }
-        if let Some((promotions, demotions)) = self.plan(shared) {
+        // A peer's report waits on the scorer lock on the leader's link
+        // reader, so the lock covers the fold and the scoring, not the
+        // journal or the plan.
+        let round = self.with_scorer(shared.keyspace.n_keys(), |scorer| {
+            scorer.fold(&window);
+            let issued = dist.last_issued();
+            if !dist.quiesced(issued) || !dist.all_acked(issued) {
+                // The previous plan is still migrating somewhere in the
+                // cluster; a new plan could then demote a key whose
+                // promotion a lagging peer has not even installed, and the
+                // leader's technique map would mis-assign slots. Skip the
+                // round — the sketch keeps accumulating, and serializing
+                // rounds cluster-wide keeps at most one plan's traffic in
+                // flight.
+                return None;
+            }
+            Some(scorer.round(&self.cfg, &shared.technique))
+        });
+        if let Some((promotions, demotions)) = round.and_then(|round| self.plan(shared, round)) {
             let epoch = dist.state().issue_plan();
             let n_migrations = (promotions.len() + demotions.len()) as u64;
             shared.obs.event(
@@ -265,18 +288,167 @@ impl AdaptiveManager {
                 post_server(shared, ADAPT_LEADER, node, boundary, &plan);
             }
         }
-        self.sketch.decay();
     }
 
     /// Plan a round and carry the plan out on every node at once.
     fn adapt(&self, shared: &Shared) -> SimDuration {
-        let duration = match self.plan(shared) {
+        let round = self.with_scorer(shared.keyspace.n_keys(), |scorer| {
+            scorer.fold(&self.window.drain());
+            scorer.round(&self.cfg, &shared.technique)
+        });
+        match self.plan(shared, round) {
             Some((promotions, demotions)) => migrate(shared, &promotions, &demotions),
             None => SimDuration::ZERO,
-        };
-        self.sketch.decay();
-        duration
+        }
     }
+}
+
+/// The scorer's side of adaptation: the one count-min sketch and the keys
+/// worth scoring.
+struct Scorer {
+    sketch: FreqSketch,
+    /// Keys folded since their estimate last fell to 0: every relocated
+    /// key a round can promote, bar phantoms (see the module docs).
+    candidates: Vec<Key>,
+    /// Membership bits of `candidates`, one per key of the key space —
+    /// report keys come from other processes, so no hash table an
+    /// adversary could fill with colliding keys.
+    is_candidate: Vec<u64>,
+    /// Entries visited since the last round ended: folded pairs, scored
+    /// keys, decayed cells and re-checked candidates.
+    visited: u64,
+}
+
+impl Scorer {
+    fn new(sketch_bits: u32, n_keys: u64) -> Scorer {
+        Scorer {
+            sketch: FreqSketch::new(sketch_bits),
+            candidates: Vec::new(),
+            is_candidate: vec![0; n_keys.div_ceil(64) as usize],
+            visited: 0,
+        }
+    }
+
+    /// Fold one window or peer report into the sketch: O(pairs). Every key
+    /// must lie in the key space.
+    fn fold(&mut self, counts: &[(Key, u64)]) {
+        for &(key, n) in counts {
+            if n == 0 {
+                continue;
+            }
+            self.sketch.add(key, n);
+            let (word, bit) = ((key / 64) as usize, 1u64 << (key % 64));
+            if self.is_candidate[word] & bit == 0 {
+                self.is_candidate[word] |= bit;
+                self.candidates.push(key);
+            }
+        }
+        self.visited += counts.len() as u64;
+    }
+
+    /// Score everything folded so far, then decay. Returns the scoring
+    /// (`None` before anything was folded), the entries visited since the
+    /// previous round, folds included, and the candidates left after the
+    /// decay.
+    fn round(&mut self, cfg: &AdaptiveConfig, technique: &TechniqueMap) -> ScoredRound {
+        let scored = self.score(cfg, technique);
+        self.decay();
+        (scored, std::mem::take(&mut self.visited), self.candidates.len() as u64)
+    }
+
+    /// Rank the candidates, one route load each, and the replicated keys,
+    /// from the slot table.
+    fn score(&mut self, cfg: &AdaptiveConfig, technique: &TechniqueMap) -> Option<Scored> {
+        let replicated = technique.replicated_keys();
+        self.visited += (self.candidates.len() + replicated.len()) as u64;
+        let relocated = self.candidates.iter().filter(|&&key| !technique.is_replicated(key));
+        let entries =
+            relocated.map(|&key| (key, false)).chain(replicated.into_iter().map(|key| (key, true)));
+        rank(cfg, technique, &self.sketch, entries)
+    }
+
+    /// The scan [`Scorer::score`] replaces, over every key of the key
+    /// space: the tests' oracle.
+    #[cfg(test)]
+    fn score_full_scan(&self, cfg: &AdaptiveConfig, technique: &TechniqueMap) -> Option<Scored> {
+        let entries = (0..technique.n_keys()).map(|key| (key, technique.is_replicated(key)));
+        rank(cfg, technique, &self.sketch, entries)
+    }
+
+    /// Halve the sketch and drop the candidates whose estimate reached 0:
+    /// O(nonzero cells + candidates).
+    fn decay(&mut self) {
+        self.visited += (self.sketch.occupied() + self.candidates.len()) as u64;
+        self.sketch.decay();
+        let Scorer { sketch, candidates, is_candidate, .. } = self;
+        candidates.retain(|&key| {
+            let live = sketch.estimate(key) > 0;
+            if !live {
+                is_candidate[(key / 64) as usize] &= !(1u64 << (key % 64));
+            }
+            live
+        });
+    }
+}
+
+/// What [`Scorer::round`] returns: the scoring, the entries visited and
+/// the candidates left.
+type ScoredRound = (Option<Scored>, u64, u64);
+
+/// One scored round: the thresholds as integer counts — promote an
+/// estimate above `promote_above`, demote one below `demote_below` — and
+/// the `(estimate, key)` pairs that crossed them.
+#[derive(Debug, PartialEq)]
+struct Scored {
+    promote_above: u64,
+    demote_below: u64,
+    promotions: Vec<(u64, Key)>,
+    demotions: Vec<(u64, Key)>,
+}
+
+/// Rank `(key, replicated)` entries against the heuristic, the mean taken
+/// over the whole key space: hottest promotions first, coldest demotions
+/// first, ties broken by key, both truncated to the per-round and capacity
+/// bounds. Deterministic in the sketch, the technique map and the set of
+/// entries, whatever their order. `None` while the sketch is empty.
+fn rank(
+    cfg: &AdaptiveConfig,
+    technique: &TechniqueMap,
+    sketch: &FreqSketch,
+    entries: impl Iterator<Item = (Key, bool)>,
+) -> Option<Scored> {
+    let total = sketch.total();
+    if total == 0 {
+        return None;
+    }
+    let mean = total as f64 / technique.n_keys() as f64;
+    // Integer estimates compare with a real threshold `t` as `est > ⌊t⌋`
+    // and `est < ⌈t⌉`.
+    let promote_above = (cfg.promote_factor * mean).max(1.0).floor() as u64;
+    let demote_below = (cfg.demote_factor * mean).ceil() as u64;
+    let (mut promotions, mut demotions) = (Vec::new(), Vec::new());
+    for (key, replicated) in entries {
+        let est = sketch.estimate(key);
+        if replicated {
+            if est < demote_below {
+                demotions.push((est, key));
+            }
+        } else if est > promote_above {
+            promotions.push((est, key));
+        }
+    }
+    promotions.sort_by_key(|&(est, key)| (Reverse(est), key));
+    demotions.sort_by_key(|&(est, key)| (est, key));
+    demotions.truncate(cfg.max_migrations_per_round);
+    let slots_after_demote = technique.n_replicated().saturating_sub(demotions.len());
+    let capacity = cfg.max_replicated.saturating_sub(slots_after_demote);
+    promotions.truncate(cfg.max_migrations_per_round.min(capacity));
+    Some(Scored { promote_above, demote_below, promotions, demotions })
+}
+
+/// The keys of scored `(estimate, key)` pairs, in order.
+fn keys_of(scored: &[(u64, Key)]) -> Vec<Key> {
+    scored.iter().map(|&(_, key)| key).collect()
 }
 
 /// Carry out a plan on every node while all active workers are parked:
@@ -603,6 +775,7 @@ mod tests {
     use crate::system::ParameterServer;
     use nups_sim::cost::CostModel;
     use nups_sim::topology::Topology;
+    use proptest::prelude::*;
 
     #[test]
     fn demotion_folds_unsynced_stragglers_into_the_value() {
@@ -634,11 +807,11 @@ mod tests {
         ps.shutdown();
     }
 
-    #[test]
-    fn an_in_process_round_assigns_the_planned_slots() {
-        // Keys 1, 2, 3 start in slots 0, 1, 2. The sketch makes 1 and 3
-        // cold and 10, 20, 30 hot, so the round frees two slots, reuses
-        // them and appends a third.
+    /// A 2-node, 64-key server with keys 1, 2, 3 replicated in slots 0, 1,
+    /// 2, after 1 000, 900, 800 and 700 accesses to keys 10, 20, 30 and 2:
+    /// at 2×/0.5× the mean (53.125) that makes 10, 20, 30 hot and 1, 3
+    /// cold.
+    fn hot_and_cold_server() -> ParameterServer {
         let adaptive =
             AdaptiveConfig { promote_factor: 2.0, demote_factor: 0.5, ..AdaptiveConfig::default() };
         let cfg = NupsConfig::nups(Topology::new(2, 1), 64, 1)
@@ -646,12 +819,24 @@ mod tests {
             .with_cost(CostModel::zero())
             .with_adaptive(adaptive);
         let ps = ParameterServer::new(cfg, |k, v| v.fill(k as f32));
-        let shared = ps.shared();
-        let mgr = shared.adaptive.as_ref().expect("adaptive server");
+        let mgr = ps.shared().adaptive.as_ref().expect("adaptive server");
         for (key, hits) in [(10, 1000), (20, 900), (30, 800), (2, 700)] {
             (0..hits).for_each(|_| mgr.record_access(key));
         }
-        let (promotions, demotions) = mgr.score(shared);
+        ps
+    }
+
+    #[test]
+    fn an_in_process_round_assigns_the_planned_slots() {
+        // The round frees two slots, reuses them and appends a third.
+        let ps = hot_and_cold_server();
+        let shared = ps.shared();
+        let mgr = shared.adaptive.as_ref().expect("adaptive server");
+        let scored = mgr.with_scorer(shared.keyspace.n_keys(), |scorer| {
+            scorer.fold(&mgr.window.drain());
+            scorer.score(mgr.config(), &shared.technique).expect("accesses were folded")
+        });
+        let (promotions, demotions) = (keys_of(&scored.promotions), keys_of(&scored.demotions));
         assert_eq!((&promotions[..], &demotions[..]), (&[10, 20, 30][..], &[1, 3][..]));
         let planned = shared.technique.plan_slots(&demotions, &promotions);
         assert_eq!(planned, [(10, 2), (20, 0), (30, 3)]);
@@ -668,5 +853,204 @@ mod tests {
             assert_eq!(model[key as usize], vec![key as f32], "key {key} moved intact");
         }
         ps.shutdown();
+    }
+
+    #[test]
+    fn a_planned_round_journals_each_decision_with_its_inputs() {
+        let ps = hot_and_cold_server();
+        let shared = ps.shared();
+        shared.adaptive.as_ref().expect("adaptive server").adapt(shared);
+        let events = ps.observability().trace.events();
+        let named = |names: &[&str]| -> Vec<(&'static str, u64, u64)> {
+            events.iter().filter(|e| names.contains(&e.name)).map(|e| (e.name, e.a, e.b)).collect()
+        };
+        // 3 400 accesses over 64 keys: promote above ⌊2 × 53.125⌋, demote
+        // below ⌈0.5 × 53.125⌉; each planned key with its estimate.
+        assert_eq!(
+            named(&["adapt_thresholds", "adapt_promote", "adapt_demote"]),
+            [
+                ("adapt_thresholds", 106, 27),
+                ("adapt_promote", 10, 1000),
+                ("adapt_promote", 20, 900),
+                ("adapt_promote", 30, 800),
+                ("adapt_demote", 1, 0),
+                ("adapt_demote", 3, 0),
+            ]
+        );
+        // What the round visited: 4 folded pairs, 4 candidates and 3
+        // replicated keys scored, 8 nonzero cells halved, 4 candidates
+        // re-checked, all 4 still live.
+        assert_eq!(named(&["adapt_round_cost"]), [("adapt_round_cost", 4 + 7 + 8 + 4, 4)]);
+        ps.shutdown();
+    }
+
+    /// Carry a scored round's plan out on the technique map alone.
+    fn apply(technique: &TechniqueMap, scored: &Scored) {
+        let (promotions, demotions) = (keys_of(&scored.promotions), keys_of(&scored.demotions));
+        let slots = technique.plan_slots(&demotions, &promotions);
+        for &key in &demotions {
+            technique.demote(key);
+        }
+        for (key, slot) in slots {
+            technique.promote_to_slot(key, slot);
+        }
+    }
+
+    /// One step of a randomized adaptation history.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Accesses recorded into the scorer's own window.
+        Record(Vec<Key>),
+        /// A peer's report, folded straight in.
+        Report(Vec<(Key, u64)>),
+        /// Fold the window, score both ways, carry the plan out, decay.
+        Round,
+    }
+
+    const PROP_KEYS: u64 = 96;
+
+    fn step() -> impl Strategy<Value = Step> {
+        // Half the recorded keys from a small hot set.
+        let key = prop_oneof![0u64..8, 0u64..PROP_KEYS];
+        prop_oneof![
+            collection::vec(key, 1..120).prop_map(Step::Record),
+            collection::vec((0u64..PROP_KEYS, 1u64..60), 0..6).prop_map(Step::Report),
+            Just(Step::Round),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn scoring_the_candidates_plans_what_the_full_scan_plans(
+            replicated in collection::vec(0u64..PROP_KEYS, 0..10),
+            steps in collection::vec(step(), 1..30),
+        ) {
+            let cfg = AdaptiveConfig {
+                promote_factor: 2.0,
+                demote_factor: 0.5,
+                max_replicated: 12,
+                max_migrations_per_round: 3,
+                sketch_bits: 10,
+                ..AdaptiveConfig::default()
+            };
+            let technique = TechniqueMap::from_replicated_keys(PROP_KEYS, &replicated);
+            let window = AccessWindow::new();
+            let mut scorer = Scorer::new(cfg.sketch_bits, PROP_KEYS);
+            // Each key's own count, halved like the cells: a cell holds at
+            // least the sum of its keys' own counts, so a key with some
+            // left is a candidate.
+            let mut own = [0u64; PROP_KEYS as usize];
+            for step in steps {
+                match step {
+                    Step::Record(keys) => {
+                        for key in keys {
+                            window.record(key);
+                            own[key as usize] += 1;
+                        }
+                    }
+                    Step::Report(counts) => {
+                        counts.iter().for_each(|&(key, n)| own[key as usize] += n);
+                        scorer.fold(&counts);
+                    }
+                    Step::Round => {
+                        scorer.fold(&window.drain());
+                        let scan = scorer.score_full_scan(&cfg, &technique);
+                        let fast = scorer.score(&cfg, &technique);
+                        if let (Some(fast), Some(scan)) = (&fast, &scan) {
+                            prop_assert_eq!(
+                                (fast.promote_above, fast.demote_below),
+                                (scan.promote_above, scan.demote_below)
+                            );
+                            prop_assert_eq!(&fast.demotions, &scan.demotions);
+                            // The one intended difference: a relocated key
+                            // above the threshold with no count of its own
+                            // left, which only the scan promotes.
+                            let phantom = (0..PROP_KEYS).any(|key| {
+                                own[key as usize] == 0
+                                    && !technique.is_replicated(key)
+                                    && scorer.sketch.estimate(key) > scan.promote_above
+                            });
+                            if !phantom {
+                                prop_assert_eq!(&fast.promotions, &scan.promotions);
+                            }
+                            apply(&technique, fast);
+                        } else {
+                            prop_assert!(fast.is_none() && scan.is_none());
+                        }
+                        scorer.decay();
+                        own.iter_mut().for_each(|n| *n /= 2);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_visits_the_same_entries_at_every_universe_size() {
+        // Thresholds that do not depend on the universe — promote any key
+        // seen twice, never demote — so the plans, and with them the
+        // replicated sets, are the same at every size.
+        let cfg = AdaptiveConfig {
+            promote_factor: 0.0,
+            demote_factor: 0.0,
+            max_replicated: 32,
+            max_migrations_per_round: 8,
+            sketch_bits: 12,
+            ..AdaptiveConfig::default()
+        };
+        let rounds = |n_keys: u64| -> Vec<(u64, Option<Scored>)> {
+            let technique = TechniqueMap::from_replicated_keys(n_keys, &[7, 40_000]);
+            let window = AccessWindow::new();
+            let mut scorer = Scorer::new(cfg.sketch_bits, n_keys);
+            let mut x = 1u64;
+            (0..6)
+                .map(|_| {
+                    for i in 0..2_000u64 {
+                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        // A quarter of the accesses to 16 hot keys, the
+                        // rest spread over the first 2^16 keys.
+                        window.record(if i % 4 == 0 { (x >> 60) * 4096 } else { x >> 48 });
+                    }
+                    scorer.fold(&window.drain());
+                    let (scored, visited, _) = scorer.round(&cfg, &technique);
+                    if let Some(scored) = &scored {
+                        apply(&technique, scored);
+                    }
+                    (visited, scored)
+                })
+                .collect()
+        };
+        let small = rounds(1 << 16);
+        assert!(small.iter().any(|(_, s)| s.as_ref().is_some_and(|s| !s.promotions.is_empty())));
+        assert!(
+            small.iter().all(|&(visited, _)| visited < 1 << 15),
+            "a round visits far fewer entries than the smallest universe has keys: {small:?}"
+        );
+        assert_eq!(small, rounds(1 << 18), "2^18 keys");
+        assert_eq!(small, rounds(1 << 20), "2^20 keys");
+    }
+
+    #[test]
+    fn a_phantom_is_promoted_by_the_full_scan_only() {
+        // 16 cells per row: a key nobody accessed whose two cells both
+        // belong to the two hot keys reads as hot as they do.
+        let cfg = AdaptiveConfig {
+            sketch_bits: 4,
+            max_migrations_per_round: 4096,
+            max_replicated: 4096,
+            ..AdaptiveConfig::default()
+        };
+        let technique = TechniqueMap::all_relocated(4096);
+        let mut scorer = Scorer::new(cfg.sketch_bits, 4096);
+        scorer.fold(&[(1, 1000), (2, 1000)]);
+        let phantom =
+            (3..4096).find(|&key| scorer.sketch.estimate(key) > 0).expect("16-cell rows collide");
+        assert!(scorer.sketch.estimate(phantom) >= 1000);
+        let promoted = |scored: Option<Scored>| keys_of(&scored.expect("folded").promotions);
+        let scan = promoted(scorer.score_full_scan(&cfg, &technique));
+        assert!(scan.contains(&phantom), "the full scan promotes phantom key {phantom}");
+        let mut fast = promoted(scorer.score(&cfg, &technique));
+        fast.sort_unstable();
+        assert_eq!(fast, [1, 2], "scoring the candidates promotes only keys that were accessed");
     }
 }

@@ -122,12 +122,14 @@ pub enum Msg {
     /// snapshotted its model part.
     FinFence { from: NodeId },
 
-    /// Per-node deployments: a peer ships the access-frequency sketch it
-    /// accumulated since its last report to the adaptation leader (node
-    /// 0), as sparse count-min cells ([`nups_sim::metrics::FreqSketch`]).
-    /// The leader folds every report into its own sketch and re-scores
-    /// from the merged global view.
-    SketchReport { from: NodeId, total: u64, row0: Vec<(u32, u64)>, row1: Vec<(u32, u64)> },
+    /// Per-node deployments: a peer ships the accesses it recorded since
+    /// its last report to the adaptation leader (node 0) as exact
+    /// `(key, count)` pairs, one per key it touched
+    /// ([`nups_sim::metrics::AccessWindow`]). The leader folds every report
+    /// into the one count-min sketch ([`nups_sim::metrics::FreqSketch`])
+    /// and re-scores from the merged global view; adding is linear, so the
+    /// cells hold exactly what merging per-node sketches would give.
+    SketchReport { from: NodeId, counts: Vec<(Key, u64)> },
     /// Leader → everyone (including itself): the versioned migration plan
     /// of one adaptation round. Promotions carry the replica slot the
     /// leader assigned by simulating the free list, so every node's slot
@@ -265,30 +267,36 @@ fn get_updates(buf: &mut Bytes) -> Result<Vec<KeyUpdate>, CodecError> {
     Ok(out)
 }
 
-/// Sparse sketch cells and plan promotions share one wire shape: a `u32`
-/// count followed by fixed 12-byte entries.
+/// Plan promotions travel as a `u32` count followed by fixed 12-byte
+/// `(key, slot)` entries.
 fn pairs_len(n: usize) -> usize {
     4 + 12 * n
 }
 
-fn put_cells(buf: &mut BytesMut, cells: &[(u32, u64)]) {
-    buf.put_u32_le(cells.len() as u32);
-    for &(idx, count) in cells {
-        buf.put_u32_le(idx);
+/// A sketch report's `(key, count)` pairs: a `u32` count followed by fixed
+/// 16-byte entries.
+fn counts_len(n: usize) -> usize {
+    4 + 16 * n
+}
+
+fn put_counts(buf: &mut BytesMut, counts: &[(Key, u64)]) {
+    buf.put_u32_le(counts.len() as u32);
+    for &(key, count) in counts {
+        buf.put_u64_le(key);
         buf.put_u64_le(count);
     }
 }
 
-fn get_cells(buf: &mut Bytes) -> Result<Vec<(u32, u64)>, CodecError> {
+fn get_counts(buf: &mut Bytes) -> Result<Vec<(Key, u64)>, CodecError> {
     let n = codec::get_u32(buf)? as u64;
-    if n.saturating_mul(12) > buf.len() as u64 {
-        return Err(CodecError::Truncated { needed: (n * 12) as usize, remaining: buf.len() });
+    if n.saturating_mul(16) > buf.len() as u64 {
+        return Err(CodecError::Truncated { needed: (n * 16) as usize, remaining: buf.len() });
     }
     let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let idx = codec::get_u32(buf)?;
+        let key = get_u64(buf)?;
         let count = get_u64(buf)?;
-        out.push((idx, count));
+        out.push((key, count));
     }
     Ok(out)
 }
@@ -337,9 +345,7 @@ impl WireEncode for Msg {
             Msg::FinFence { .. } => 2,
             Msg::ModelPart { entries, .. } => 2 + updates_len(entries),
             Msg::Release { .. } => 8,
-            Msg::SketchReport { row0, row1, .. } => {
-                2 + 8 + pairs_len(row0.len()) + pairs_len(row1.len())
-            }
+            Msg::SketchReport { counts, .. } => 2 + counts_len(counts.len()),
             Msg::AdaptPlan { promotions, demotions, .. } => {
                 8 + pairs_len(promotions.len()) + codec::u64_slice_len(demotions)
             }
@@ -445,12 +451,10 @@ impl WireEncode for Msg {
                 buf.put_u8(tag::RELEASE);
                 buf.put_u64_le(*epoch);
             }
-            Msg::SketchReport { from, total, row0, row1 } => {
+            Msg::SketchReport { from, counts } => {
                 buf.put_u8(tag::SKETCH_REPORT);
                 buf.put_u16_le(from.0);
-                buf.put_u64_le(*total);
-                put_cells(buf, row0);
-                put_cells(buf, row1);
+                put_counts(buf, counts);
             }
             Msg::AdaptPlan { epoch, promotions, demotions } => {
                 buf.put_u8(tag::ADAPT_PLAN);
@@ -520,12 +524,9 @@ impl WireEncode for Msg {
                 Msg::ModelPart { from: NodeId(get_u16(buf)?), entries: get_updates(buf)? }
             }
             tag::RELEASE => Msg::Release { epoch: get_u64(buf)? },
-            tag::SKETCH_REPORT => Msg::SketchReport {
-                from: NodeId(get_u16(buf)?),
-                total: get_u64(buf)?,
-                row0: get_cells(buf)?,
-                row1: get_cells(buf)?,
-            },
+            tag::SKETCH_REPORT => {
+                Msg::SketchReport { from: NodeId(get_u16(buf)?), counts: get_counts(buf)? }
+            }
             tag::ADAPT_PLAN => Msg::AdaptPlan {
                 epoch: get_u64(buf)?,
                 promotions: get_promotions(buf)?,
@@ -603,12 +604,10 @@ mod tests {
         });
         roundtrip(Msg::Release { epoch: 0 });
         roundtrip(Msg::Release { epoch: 9 });
-        roundtrip(Msg::SketchReport { from: NodeId(3), total: 0, row0: vec![], row1: vec![] });
+        roundtrip(Msg::SketchReport { from: NodeId(3), counts: vec![] });
         roundtrip(Msg::SketchReport {
             from: NodeId(1),
-            total: 42,
-            row0: vec![(0, 7), (1023, 35)],
-            row1: vec![(512, 42)],
+            counts: vec![(0, 7), (262_143, 35), (u64::MAX, u64::MAX)],
         });
         roundtrip(Msg::AdaptPlan { epoch: 1, promotions: vec![], demotions: vec![] });
         roundtrip(Msg::AdaptPlan {
@@ -635,14 +634,15 @@ mod tests {
     #[test]
     fn adaptation_message_sizes_are_honest() {
         // The sketch report is the dominant recurring adaptation message;
-        // its size must track the sparse cell count, not the sketch width.
-        let report = Msg::SketchReport {
-            from: NodeId(1),
-            total: 10,
-            row0: vec![(1, 5), (2, 5)],
-            row1: vec![(9, 10)],
-        };
-        assert_eq!(report.encoded_len(), 1 + 2 + 8 + (4 + 24) + (4 + 12));
+        // its size must track the keys the peer touched — 16 bytes each —
+        // not the sketch width.
+        let report = Msg::SketchReport { from: NodeId(1), counts: vec![(1, 5), (2, 5), (9, 10)] };
+        assert_eq!(report.encoded_len(), 1 + 2 + (4 + 3 * 16));
+        // A count field claiming more pairs than the frame holds fails
+        // before anything is allocated for them.
+        let b = report.to_bytes();
+        let mut short = Bytes::from(b[..b.len() - 1].to_vec());
+        assert!(matches!(Msg::decode(&mut short), Err(CodecError::Truncated { .. })));
         let plan = Msg::AdaptPlan { epoch: 3, promotions: vec![(1, 0)], demotions: vec![2, 3] };
         assert_eq!(plan.encoded_len(), 1 + 8 + (4 + 12) + (4 + 16));
     }
@@ -755,18 +755,8 @@ mod tests {
                     entries: kv.into_iter().map(|(key, delta)| KeyUpdate { key, delta }).collect(),
                 }
             ),
-            (
-                any::<u16>(),
-                any::<u64>(),
-                proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8),
-                proptest::collection::vec((any::<u32>(), any::<u64>()), 0..8),
-            )
-                .prop_map(|(from, total, row0, row1)| Msg::SketchReport {
-                    from: NodeId(from),
-                    total,
-                    row0,
-                    row1,
-                }),
+            (any::<u16>(), proptest::collection::vec((any::<u64>(), any::<u64>()), 0..8))
+                .prop_map(|(from, counts)| Msg::SketchReport { from: NodeId(from), counts }),
             (
                 any::<u64>(),
                 proptest::collection::vec((any::<u64>(), any::<u32>()), 0..8),

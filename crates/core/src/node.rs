@@ -137,12 +137,12 @@ impl Shared {
         self.fin_fences.load(Ordering::SeqCst)
     }
 
-    /// Feed one call's key accesses into the adaptive manager's frequency
-    /// sketch (no-op when adaptation is disabled).
+    /// Feed one call's key accesses into the adaptive manager's access
+    /// window (no-op when adaptation is disabled).
     #[inline]
     pub fn record_accesses(&self, keys: &[Key]) {
         if let Some(mgr) = &self.adaptive {
-            mgr.sketch().record_keys(keys);
+            mgr.record_accesses(keys);
         }
     }
 

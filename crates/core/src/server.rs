@@ -113,9 +113,7 @@ impl Server {
             }
             Msg::SyncFin { .. } => self.shared.note_sync_fin(),
             Msg::FinFence { .. } => self.shared.note_fin_fence(),
-            Msg::SketchReport { from, total, row0, row1 } => {
-                self.handle_sketch_report(from, total, &row0, &row1)
-            }
+            Msg::SketchReport { from, counts } => return self.handle_sketch_report(from, counts),
             Msg::AdaptPlan { epoch, promotions, demotions } => {
                 self.handle_adapt_plan(epoch, promotions, demotions, at)
             }
@@ -458,20 +456,20 @@ impl Server {
     // still in flight locally.
     // ------------------------------------------------------------------
 
-    /// A peer's count-min sketch window, folded into the leader's sketch.
-    fn handle_sketch_report(
-        &mut self,
-        from: NodeId,
-        total: u64,
-        row0: &[(u32, u64)],
-        row1: &[(u32, u64)],
-    ) {
-        debug_assert_eq!(self.me(), ADAPT_LEADER, "sketch report at non-leader");
-        debug_assert_ne!(from, self.me(), "the leader does not report to itself");
-        let _ = from;
-        if let Some(adaptive) = self.shared.adaptive.as_ref() {
-            adaptive.sketch().merge([row0, row1], total);
+    /// A peer's access window, folded into the leader's sketch. `false` —
+    /// a bad frame — for a report at a server without adaptation, at a
+    /// node other than the leader, or claiming to come from the leader
+    /// itself. Keys outside the key space are dropped from the report: the
+    /// scorer indexes the technique map with every key it scores.
+    fn handle_sketch_report(&mut self, from: NodeId, mut counts: Vec<(Key, u64)>) -> bool {
+        let Some(adaptive) = self.shared.adaptive.as_ref() else { return false };
+        if self.me() != ADAPT_LEADER || from == self.me() {
+            return false;
         }
+        let n_keys = self.shared.keyspace.n_keys();
+        counts.retain(|&(key, _)| key < n_keys);
+        adaptive.fold_report(n_keys, &counts);
+        true
     }
 
     /// One adaptation round's migration plan. Runs on every node

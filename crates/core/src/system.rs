@@ -105,8 +105,9 @@ impl ParameterServer {
     /// Single-node deployments require the wall-clock backend (virtual
     /// time is a per-process construct). Adaptive technique management
     /// runs as a distributed leader-driven epoch protocol (see
-    /// [`crate::adaptive`]): node 0 scores from merged sketch reports and
-    /// broadcasts versioned migration plans over the fabric.
+    /// [`crate::adaptive`]): node 0 folds every node's access window into
+    /// its sketch, scores and broadcasts versioned migration plans over
+    /// the fabric.
     /// `obs` is the process-wide observability bundle; a TCP-fabric
     /// process passes the same instance the fabric records its queue-wait
     /// and flush histograms into, so one flight record covers both layers.

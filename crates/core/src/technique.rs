@@ -164,11 +164,6 @@ impl TechniqueMap {
         self.replica_slot(key).is_some()
     }
 
-    /// Per-key replication flags (the adaptation scan reads every key).
-    pub fn replicated_flags(&self) -> Vec<bool> {
-        (0..self.n_keys()).map(|key| self.is_replicated(key)).collect()
-    }
-
     /// Currently replicated keys, in slot order (freed slots skipped).
     pub fn replicated_keys(&self) -> Vec<Key> {
         self.inner.read().slot_keys.iter().filter_map(|k| *k).collect()

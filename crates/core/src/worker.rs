@@ -5,7 +5,8 @@
 //! of the key's route) followed by a single latch acquisition (Section
 //! 3.2) — the replica slot's mutex or the store shard's, and no other
 //! shared read-modify-write per key: hit counters are summed in locals and
-//! added once per call, the access sketch's total likewise.
+//! added once per call. (With adaptation on, the key's own counter in the
+//! node's access window takes one relaxed add.)
 //!
 //! * replicated key → the node's replica set, through shared memory;
 //! * relocated key, owned locally → the store, through shared memory;

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use nups_core::adaptive::AdaptiveConfig;
 use nups_core::messages::{KeyUpdate, Msg};
 use nups_core::runtime::{Backend, Fabric, Port, SimFabric};
 use nups_core::{Deployment, NupsConfig, ParameterServer, PsWorker};
@@ -163,17 +164,20 @@ fn parked_singleton_answers_as_batch_of_one() {
 #[test]
 fn hostile_frames_are_journaled_and_the_server_stays_up() {
     let n_keys = 8u64;
-    let cfg = NupsConfig::lapse(Topology::new(2, 1), n_keys, VALUE_LEN);
+    // Adaptive, so that node 0's server is a leader a sketch report is
+    // meant for, and every merge runs a round.
+    let adaptive = AdaptiveConfig { adapt_every: 1, ..AdaptiveConfig::default() };
+    let cfg = NupsConfig::lapse(Topology::new(2, 1), n_keys, VALUE_LEN).with_adaptive(adaptive);
     let (ps, fabric, obs) = deploy(cfg, Deployment::AllInProcess);
-    let victim = Addr::server(NodeId(1));
-    let post = |payload: Vec<u8>| {
+    let post_to = |node: u16, payload: Vec<u8>| {
         fabric.post(Frame {
             src: Addr::worker(NodeId(0), 0),
-            dst: victim,
+            dst: Addr::server(NodeId(node)),
             sent_at: SimTime::ZERO,
             payload: Bytes::from(payload),
         })
     };
+    let post = |payload: Vec<u8>| post_to(1, payload);
     let garbage = vec![0xFF, 1, 2, 3];
     let mut truncated =
         Msg::PullBatchReq { keys: vec![4, 5], reply_to: Addr::worker(NodeId(0), 0), hops: 1 }
@@ -218,7 +222,37 @@ fn hostile_frames_are_journaled_and_the_server_stays_up() {
         assert_eq!(bad().last(), Some(&stray_record));
     }
     assert_eq!(bad().len(), 5);
-    drop(w0);
+
+    // Sketch reports: one at a node that is not the leader, one claiming
+    // to come from the leader itself — both dropped as bad frames — and a
+    // peer's report whose keys lie partly outside the key space, which the
+    // leader takes without those keys.
+    let report = |from: u16, counts: Vec<(u64, u64)>| {
+        Msg::SketchReport { from: NodeId(from), counts }.to_bytes().to_vec()
+    };
+    let at_peer = report(0, vec![(1, 3)]);
+    let from_leader = report(0, vec![(1, 3)]);
+    let expected = [
+        (at_peer[0] as u64, at_peer.len() as u64),
+        (from_leader[0] as u64, from_leader.len() as u64),
+    ];
+    post_to(1, at_peer);
+    post_to(0, from_leader);
+    post_to(0, report(1, vec![(n_keys, 5), (u64::MAX, 1), (1, 2)]));
+    // Both ports are FIFO: node 1's worker pulls node-0 keys after them.
+    let mut w1 = ps.worker(worker_id(1));
+    let home0: Vec<u64> = nups_core::KeySpace::new(n_keys, 2).range_of(NodeId(0)).take(2).collect();
+    w1.pull_many(&home0, &mut out);
+    w0.pull_many(&keys, &mut out);
+    assert_eq!(bad()[5..], expected, "the two misdirected reports, and nothing else");
+    // A round scores every folded key against the technique map: it would
+    // index the map with an out-of-range key had the leader kept one.
+    w0.begin_epoch();
+    w0.charge_compute(1 << 40);
+    w0.end_epoch();
+    assert!(ps.metrics().adaptation_rounds > 0, "no round ran");
+    assert_eq!(bad().len(), 7);
+    drop((w0, w1));
     assert_eq!(ps.read_value(keys[0]), vec![keys[0] as f32 + 2.0; VALUE_LEN]);
     ps.shutdown();
 }

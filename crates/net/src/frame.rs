@@ -9,7 +9,7 @@
 //! ```text
 //! offset size field
 //! 0      4    magic "NUPS" (little-endian u32)
-//! 4      2    protocol version (currently 1)
+//! 4      2    protocol version (currently 3)
 //! 6      2    reserved, must be zero
 //! 8      2    src node    ─┐
 //! 10     2    src port     │ the simulator's Addr pair, verbatim
@@ -38,9 +38,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"NUPS");
 /// Current protocol version. Bumped on any incompatible frame or message
 /// change; the handshake rejects mismatched peers at connect time.
 /// Version 2 retired version 1's single-key pull/push/localize messages
-/// (every access is a batch message now), so a mixed cluster must fail
-/// here rather than mis-decode payloads.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// (every access is a batch message now); version 3 changed `SketchReport`
+/// from count-min cells to exact `(key, count)` pairs. A mixed cluster
+/// must fail here rather than mis-decode payloads.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Size of the fixed frame header. Kept equal to the cost model's
 /// modelled framing overhead (asserted in the tests below).
@@ -553,6 +554,20 @@ mod tests {
         match read_frame(&mut &bytes[..]) {
             Err(ReadError::Frame(FrameError::UnsupportedVersion(1))) => {}
             other => panic!("expected UnsupportedVersion(1), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_2_peer_rejected() {
+        // A node built before sketch reports carried (key, count) pairs:
+        // its report would decode here as garbage pairs, so the header
+        // must stop it first.
+        let f = frame(Addr::server(NodeId(1)), Addr::server(NodeId(0)), 0, b"x");
+        let mut bytes = encode_frame(&f);
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        match read_frame(&mut &bytes[..]) {
+            Err(ReadError::Frame(FrameError::UnsupportedVersion(2))) => {}
+            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
         }
     }
 

@@ -10,6 +10,9 @@
 use std::fmt;
 use std::ops::Sub;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 macro_rules! metrics {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
@@ -248,21 +251,34 @@ impl ClusterMetrics {
     }
 }
 
-/// A lightweight per-key access-frequency sketch (two-row count-min).
+/// A per-key access-frequency sketch (two-row count-min), owned by the
+/// adaptation scorer.
 ///
-/// Workers record every key access with one relaxed atomic increment per
-/// row; the adaptive technique manager reads estimates at synchronization
-/// boundaries. Estimates are upper bounds (hash collisions only ever
-/// inflate), which errs toward replicating slightly-too-cold keys rather
-/// than missing hot ones. All hashing is fixed, so sketch contents — and
-/// every decision derived from them — are deterministic for a
-/// deterministic access stream.
+/// Nothing records into it directly: workers count accesses in an
+/// [`AccessWindow`], and at each adaptation round the scorer — the
+/// in-process manager, or the leader of a per-node deployment — folds its
+/// own window and every peer's report in with [`FreqSketch::add`]. Adding
+/// is linear, so the cells end up exactly as if every access had been
+/// recorded here one by one. Estimates are upper bounds (hash collisions
+/// only ever inflate), which errs toward replicating slightly-too-cold
+/// keys rather than missing hot ones. All hashing is fixed, so sketch
+/// contents — and every decision derived from them — are deterministic
+/// for a deterministic access stream.
+///
+/// A round's sketch work is proportional to what it touches, never to the
+/// width: a fold costs one step per `(key, count)` pair, and
+/// [`FreqSketch::decay`] halves only the nonzero cells. The rows are
+/// zero-initialised allocations, so a cell nothing was added to takes no
+/// resident memory either. Cells are 32-bit and saturate: decay keeps a
+/// cell near twice the accesses one round adds to it, far below 2^32.
 #[derive(Debug)]
 pub struct FreqSketch {
-    rows: [Vec<AtomicU64>; 2],
+    rows: [Vec<u32>; 2],
+    /// Index of every nonzero cell of each row, for decay.
+    occupied: [Vec<u32>; 2],
     mask: u64,
     shift: u32,
-    total: AtomicU64,
+    total: u64,
 }
 
 const SKETCH_HASH_0: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -275,110 +291,166 @@ impl FreqSketch {
         let bits = bits.clamp(4, 24);
         let width = 1usize << bits;
         FreqSketch {
-            rows: [
-                (0..width).map(|_| AtomicU64::new(0)).collect(),
-                (0..width).map(|_| AtomicU64::new(0)).collect(),
-            ],
+            rows: [vec![0; width], vec![0; width]],
+            occupied: [Vec::new(), Vec::new()],
             mask: (width - 1) as u64,
             shift: 64 - bits,
-            total: AtomicU64::new(0),
+            total: 0,
         }
     }
 
     #[inline]
-    fn cells(&self, key: u64) -> (usize, usize) {
+    fn cells(&self, key: u64) -> [usize; 2] {
         // Multiplicative hashes; take the high bits (low bits of a
         // multiplicative hash are poorly mixed for dense keys).
         let i0 = (key.wrapping_mul(SKETCH_HASH_0) >> self.shift) & self.mask;
         let i1 = (key.wrapping_mul(SKETCH_HASH_1) >> self.shift) & self.mask;
-        (i0 as usize, i1 as usize)
+        [i0 as usize, i1 as usize]
     }
 
-    /// Record `n` accesses to `key`.
+    /// Add `n` accesses to `key`. Saturates rather than wrapping: counts
+    /// arrive in peer reports, and bytes off a socket must not overflow.
+    pub fn add(&mut self, key: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let n32 = u32::try_from(n).unwrap_or(u32::MAX);
+        for (row, i) in self.cells(key).into_iter().enumerate() {
+            let cell = &mut self.rows[row][i];
+            if *cell == 0 {
+                self.occupied[row].push(i as u32);
+            }
+            *cell = cell.saturating_add(n32);
+        }
+        self.total = self.total.saturating_add(n);
+    }
+
+    /// Estimated access count of `key` (an upper bound on the true count,
+    /// short of saturation).
     #[inline]
-    pub fn record(&self, key: u64, n: u64) {
-        let (i0, i1) = self.cells(key);
-        self.rows[0][i0].fetch_add(n, Ordering::Relaxed);
-        self.rows[1][i1].fetch_add(n, Ordering::Relaxed);
-        self.total.fetch_add(n, Ordering::Relaxed);
+    pub fn estimate(&self, key: u64) -> u64 {
+        let [i0, i1] = self.cells(key);
+        self.rows[0][i0].min(self.rows[1][i1]) as u64
+    }
+
+    /// Total added accesses across all keys (halved by each decay).
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Nonzero cells across both rows: what the next decay visits.
+    pub fn occupied(&self) -> usize {
+        self.occupied[0].len() + self.occupied[1].len()
+    }
+
+    /// Exponential decay: halve every counter, visiting only the nonzero
+    /// cells. Called after each adaptation round so drifting hot sets age
+    /// out instead of accumulating forever.
+    pub fn decay(&mut self) {
+        for (row, occupied) in self.rows.iter_mut().zip(&mut self.occupied) {
+            occupied.retain(|&i| {
+                let cell = &mut row[i as usize];
+                *cell /= 2;
+                *cell != 0
+            });
+        }
+        self.total /= 2;
+    }
+}
+
+/// Counters per [`AccessWindow`] page (256 KiB of them). Measured on the
+/// 2-vCPU benchmark host with the ledger's record rung: 32 768-key pages
+/// beat 512-, 4 096- and 262 144-key ones.
+const PAGE_BITS: u32 = 15;
+/// Pages in the window directory's first chunk; chunk `c` holds
+/// `FIRST_PAGES << c` pages.
+const FIRST_PAGES: u64 = 64;
+/// Enough doubling directory chunks for every `u64` key.
+const DIR_CHUNKS: usize = 64 - PAGE_BITS as usize - FIRST_PAGES.ilog2() as usize + 1;
+
+/// One page of per-key counters.
+type Page = Box<[AtomicU64]>;
+
+/// The exact per-key access counts one node recorded since the window was
+/// last drained.
+///
+/// Recording is one relaxed add on the key's own 64-bit counter, plus an
+/// append to the touched list when that add found the counter at zero —
+/// the key's first access of the window. [`AccessWindow::drain`] takes the
+/// touched list and swaps each listed counter back to zero, so it costs
+/// O(keys touched), whatever the size of the key space, and it is exact
+/// under concurrent recording: the add that lifts a counter off zero
+/// appends its key, that append happens before (through the list's mutex)
+/// the drain that takes the list swaps the counter, and the counter stays
+/// nonzero until that swap, so every count lands in exactly one drain or
+/// waits in the window for the next one.
+///
+/// The window is sized by the keys it sees, not by a key count given up
+/// front: counters live in pages allocated on a page's first access, found
+/// through a directory of doubling chunks that never move once allocated,
+/// so a lookup takes no lock.
+pub struct AccessWindow {
+    directory: [OnceLock<Box<[OnceLock<Page>]>>; DIR_CHUNKS],
+    touched: Mutex<Vec<u64>>,
+}
+
+impl Default for AccessWindow {
+    fn default() -> AccessWindow {
+        AccessWindow::new()
+    }
+}
+
+impl AccessWindow {
+    pub fn new() -> AccessWindow {
+        AccessWindow {
+            directory: std::array::from_fn(|_| OnceLock::new()),
+            touched: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The counter of `key`, allocating its page (and directory chunk) on
+    /// first use.
+    #[inline]
+    fn counter(&self, key: u64) -> &AtomicU64 {
+        // Directory chunk `c` covers pages
+        // `[FIRST_PAGES * (2^c - 1), FIRST_PAGES * (2^(c+1) - 1))`.
+        let j = (key >> PAGE_BITS) + FIRST_PAGES;
+        let c = (j.ilog2() - FIRST_PAGES.ilog2()) as usize;
+        let chunk = self.directory[c]
+            .get_or_init(|| (0..FIRST_PAGES << c).map(|_| OnceLock::new()).collect());
+        let page = chunk[(j - (FIRST_PAGES << c)) as usize]
+            .get_or_init(|| (0..1 << PAGE_BITS).map(|_| AtomicU64::new(0)).collect());
+        &page[(key & ((1 << PAGE_BITS) - 1)) as usize]
+    }
+
+    /// Record one access to `key`.
+    #[inline]
+    pub fn record(&self, key: u64) {
+        if self.counter(key).fetch_add(1, Ordering::Relaxed) == 0 {
+            self.touched.lock().push(key);
+        }
     }
 
     /// Record one access per entry of `keys` (a repeated key counts every
-    /// time it occurs): the rows per key, the total once for the call.
+    /// time it occurs).
     #[inline]
     pub fn record_keys(&self, keys: &[u64]) {
         for &key in keys {
-            let (i0, i1) = self.cells(key);
-            self.rows[0][i0].fetch_add(1, Ordering::Relaxed);
-            self.rows[1][i1].fetch_add(1, Ordering::Relaxed);
+            self.record(key);
         }
-        self.total.fetch_add(keys.len() as u64, Ordering::Relaxed);
     }
 
-    /// Estimated access count of `key` (an upper bound on the true count).
-    #[inline]
-    pub fn estimate(&self, key: u64) -> u64 {
-        let (i0, i1) = self.cells(key);
-        self.rows[0][i0].load(Ordering::Relaxed).min(self.rows[1][i1].load(Ordering::Relaxed))
-    }
-
-    /// Total recorded accesses across all keys.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Exponential decay: halve every counter. Called after each adaptation
-    /// round so drifting hot sets age out instead of accumulating forever.
-    ///
-    /// Each halving is a single atomic read-modify-write (`fetch_update`):
-    /// a plain load/store pair would drop any increment a concurrently
-    /// recording worker landed between the two, silently leaking counts
-    /// out of the sketch.
-    pub fn decay(&self) {
-        let halve = |c: &AtomicU64| {
-            let _ = c.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v / 2));
-        };
-        for row in &self.rows {
-            for c in row {
-                halve(c);
-            }
-        }
-        halve(&self.total);
-    }
-
-    /// Atomically take the sketch's contents, leaving it empty, as sparse
-    /// per-row `(cell index, count)` pairs plus the total. Each cell is
-    /// swapped to zero individually, so counts recorded concurrently are
-    /// either in this drain or the next — never lost, never doubled. Used
-    /// by per-node deployments to ship local access statistics to the
-    /// adaptation leader.
-    pub fn drain_sparse(&self) -> ([Vec<(u32, u64)>; 2], u64) {
-        let drain_row = |row: &Vec<AtomicU64>| {
-            row.iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    let v = c.swap(0, Ordering::Relaxed);
-                    (v != 0).then_some((i as u32, v))
-                })
-                .collect::<Vec<_>>()
-        };
-        let rows = [drain_row(&self.rows[0]), drain_row(&self.rows[1])];
-        let total = self.total.swap(0, Ordering::Relaxed);
-        (rows, total)
-    }
-
-    /// Fold a drained sketch (same `bits`) into this one additively.
-    /// Out-of-range cells — a peer built with a different width — are
-    /// ignored rather than trusted.
-    pub fn merge(&self, rows: [&[(u32, u64)]; 2], total: u64) {
-        for (row, entries) in self.rows.iter().zip(rows) {
-            for &(idx, count) in entries {
-                if let Some(cell) = row.get(idx as usize) {
-                    cell.fetch_add(count, Ordering::Relaxed);
-                }
-            }
-        }
-        self.total.fetch_add(total, Ordering::Relaxed);
+    /// Take the window, leaving it empty: every key recorded since the
+    /// last drain, once, with its count, in first-access order.
+    pub fn drain(&self) -> Vec<(u64, u64)> {
+        let touched = std::mem::take(&mut *self.touched.lock());
+        touched
+            .into_iter()
+            .filter_map(|key| {
+                let n = self.counter(key).swap(0, Ordering::Relaxed);
+                (n != 0).then_some((key, n))
+            })
+            .collect()
     }
 }
 
@@ -422,9 +494,9 @@ mod tests {
 
     #[test]
     fn sketch_estimates_upper_bound_true_counts() {
-        let s = FreqSketch::new(12);
+        let mut s = FreqSketch::new(12);
         for k in 0..200u64 {
-            s.record(k, k + 1);
+            s.add(k, k + 1);
         }
         for k in 0..200u64 {
             assert!(s.estimate(k) > k, "estimate must never undercount key {k} ({})", k + 1);
@@ -436,21 +508,23 @@ mod tests {
     }
 
     #[test]
-    fn sketch_record_keys_equals_recording_each_key() {
-        let (batched, scalar) = (FreqSketch::new(8), FreqSketch::new(8));
+    fn window_record_keys_equals_recording_each_key() {
+        let (batched, scalar) = (AccessWindow::new(), AccessWindow::new());
         let calls: [&[u64]; 4] = [&[3, 3, 900, 41], &[], &[7], &[41, 3, 3, 3, 12_345]];
         for keys in calls {
             batched.record_keys(keys);
-            keys.iter().for_each(|&k| scalar.record(k, 1));
+            keys.iter().for_each(|&k| scalar.record(k));
         }
-        assert_eq!(batched.total(), 10);
-        assert_eq!(batched.drain_sparse(), scalar.drain_sparse());
+        let drained = batched.drain();
+        assert_eq!(drained, [(3, 5), (900, 1), (41, 2), (7, 1), (12_345, 1)]);
+        assert_eq!(drained, scalar.drain());
+        assert!(batched.drain().is_empty(), "a drain empties the window");
     }
 
     #[test]
     fn sketch_decay_halves_counts() {
-        let s = FreqSketch::new(10);
-        s.record(7, 100);
+        let mut s = FreqSketch::new(10);
+        s.add(7, 100);
         s.decay();
         assert_eq!(s.estimate(7), 50);
         assert_eq!(s.total(), 50);
@@ -459,50 +533,81 @@ mod tests {
     }
 
     #[test]
+    fn sketch_decay_visits_only_occupied_cells() {
+        let mut s = FreqSketch::new(16);
+        assert_eq!(s.occupied(), 0, "a fresh sketch has nothing to decay");
+        s.add(1, 3);
+        s.add(2, 1);
+        s.add(1, 1);
+        assert_eq!(s.occupied(), 4, "two keys, one cell per row each");
+        s.decay();
+        assert_eq!((s.estimate(1), s.estimate(2)), (2, 0));
+        assert_eq!(s.occupied(), 2, "key 2's cells reached 0 and left the list");
+        s.add(2, 2);
+        s.decay();
+        s.decay();
+        assert_eq!((s.estimate(1), s.estimate(2), s.occupied()), (0, 0, 0));
+        // Counts from a peer's report saturate instead of wrapping.
+        s.add(5, u64::MAX);
+        s.add(5, 7);
+        assert_eq!((s.estimate(5), s.total()), (u32::MAX as u64, u64::MAX));
+    }
+
+    #[test]
     fn sketch_drain_then_merge_is_lossless() {
-        let a = FreqSketch::new(10);
-        let b = FreqSketch::new(10);
+        // A window drained and folded into a sketch leaves it exactly as
+        // adding every access one by one would.
+        let window = AccessWindow::new();
+        let mut b = FreqSketch::new(10);
         for k in 0..500u64 {
-            a.record(k % 37, 1);
+            window.record(k % 37);
         }
-        b.record(7, 3);
-        let (rows, total) = a.drain_sparse();
-        assert_eq!(total, 500);
-        assert_eq!(a.total(), 0);
-        assert_eq!(a.estimate(7), 0);
-        b.merge([&rows[0], &rows[1]], total);
-        // b now holds its own counts plus everything a held.
-        let reference = FreqSketch::new(10);
+        b.add(7, 3);
+        let drained = window.drain();
+        assert_eq!(drained.iter().map(|&(_, n)| n).sum::<u64>(), 500);
+        assert_eq!(drained.len(), 37, "one pair per key touched");
+        assert!(window.drain().is_empty());
+        for &(key, n) in &drained {
+            b.add(key, n);
+        }
+        let mut reference = FreqSketch::new(10);
         for k in 0..500u64 {
-            reference.record(k % 37, 1);
+            reference.add(k % 37, 1);
         }
-        reference.record(7, 3);
+        reference.add(7, 3);
         assert_eq!(b.total(), reference.total());
+        assert_eq!(b.occupied(), reference.occupied());
         for k in 0..37u64 {
             assert_eq!(b.estimate(k), reference.estimate(k), "key {k}");
         }
     }
 
     #[test]
-    fn sketch_merge_ignores_out_of_range_cells() {
-        let s = FreqSketch::new(4); // 16 cells per row
-        s.merge([&[(1000, 5)], &[(2000, 9)]], 14);
-        assert_eq!(s.total(), 14);
-        for k in 0..64u64 {
-            assert_eq!(s.estimate(k), 0);
-        }
-    }
-
-    #[test]
     fn sketch_is_deterministic() {
         let build = || {
-            let s = FreqSketch::new(8);
+            let mut s = FreqSketch::new(8);
             for k in 0..5000u64 {
-                s.record(k % 321, 1);
+                s.add(k % 321, 1);
             }
             (0..321u64).map(|k| s.estimate(k)).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn window_pages_cover_far_keys() {
+        // Keys on both sides of page and directory-chunk boundaries, and
+        // one far out: each gets its own exact counter.
+        let window = AccessWindow::new();
+        let keys = [0, 32_767, 32_768, 2_097_151, 2_097_152, 1 << 24];
+        for (i, &key) in keys.iter().enumerate() {
+            for _ in 0..=i {
+                window.record(key);
+            }
+        }
+        let expected: Vec<(u64, u64)> =
+            keys.iter().enumerate().map(|(i, &key)| (key, i as u64 + 1)).collect();
+        assert_eq!(window.drain(), expected);
     }
 
     #[test]
@@ -535,34 +640,55 @@ mod tests {
     }
 
     #[test]
-    fn decay_never_loses_racing_increments() {
-        use std::sync::Arc;
-        // Lockstep rounds: each round runs exactly one `record(7, V)` and
-        // one `decay()` concurrently, then checks the invariant that holds
-        // for any interleaving of *atomic* halvings:
-        //
-        //   decay-then-record  =>  estimate >= prev/2 + V  >  V/2
-        //   record-then-decay  =>  estimate >= (prev+V)/2  >= V/2
-        //
-        // The old load/store halving had a third outcome — decay loads,
-        // record lands, decay's store overwrites — which erases V entirely
-        // and drives the estimate below V/2. A thousand rounds reliably
-        // hit that window when the halving is not a single RMW.
-        const V: u64 = 1 << 20;
-        let s = Arc::new(FreqSketch::new(6));
-        for round in 0..1000 {
-            let writer = {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || s.record(7, V))
-            };
-            s.decay();
-            writer.join().unwrap();
-            assert!(
-                s.estimate(7) >= V / 2,
-                "round {round}: a racing decay dropped a concurrent record"
-            );
-            assert!(s.total() >= V / 2, "round {round}: total lost a concurrent record");
-        }
+    fn window_drain_never_loses_racing_records() {
+        use std::sync::Barrier;
+        // Two recorders and one drainer on overlapping keys, released
+        // together every round: whatever the interleaving, each recorded
+        // access lands in exactly one drain or is still in the window at
+        // the end, and no drain lists a key twice. The keys span six
+        // pages, so first accesses also race the page allocation, and both
+        // recorders hit key 0 three times per access to another key, so a
+        // drain's swap of it races the adds that lift it off zero.
+        const ROUNDS: u64 = 1000;
+        let window = AccessWindow::new();
+        let barrier = Barrier::new(3);
+        let (recorded, drained) = std::thread::scope(|s| {
+            let recorders: Vec<_> = (0..2u64)
+                .map(|r| {
+                    let (window, barrier) = (&window, &barrier);
+                    s.spawn(move || {
+                        for round in 0..ROUNDS {
+                            barrier.wait();
+                            for i in 0..64 {
+                                window.record((r * 16 + (i * 7 + round) % 32) * 4099);
+                                for _ in 0..3 {
+                                    window.record(0);
+                                }
+                            }
+                        }
+                        ROUNDS * 64 * 4
+                    })
+                })
+                .collect();
+            let mut drained = 0u64;
+            for _ in 0..ROUNDS {
+                barrier.wait();
+                for _ in 0..2 {
+                    let pairs = window.drain();
+                    let mut keys: Vec<u64> = pairs.iter().map(|&(key, _)| key).collect();
+                    keys.sort_unstable();
+                    keys.dedup();
+                    assert_eq!(keys.len(), pairs.len(), "a drain listed a key twice");
+                    drained += pairs.iter().map(|&(_, n)| n).sum::<u64>();
+                }
+            }
+            let recorded: u64 =
+                recorders.into_iter().map(|h| h.join().expect("recorder panicked")).sum();
+            (recorded, drained)
+        });
+        let residue: u64 = window.drain().iter().map(|&(_, n)| n).sum();
+        assert_eq!(recorded, drained + residue, "an access was lost or counted twice");
+        assert!(window.drain().is_empty());
     }
 
     #[test]
