@@ -72,11 +72,8 @@ pub fn ps_config(topology: Topology, workload: &DriftingHotspots) -> NupsConfig 
 /// backends even when the adaptation *decisions* differ (deltas are
 /// conserved through every promotion and demotion).
 pub fn adaptive_ps_config(topology: Topology, workload: &DriftingHotspots) -> NupsConfig {
-    ps_config(topology, workload).with_adaptive(AdaptiveConfig {
-        adapt_every: 2,
-        sketch_bits: 14,
-        ..AdaptiveConfig::default()
-    })
+    ps_config(topology, workload)
+        .with_adaptive(AdaptiveConfig { adapt_every: 2, ..AdaptiveConfig::default() })
 }
 
 /// Total key accesses (pulls + pushes) the whole cluster performs.

@@ -714,11 +714,8 @@ pub fn run_drift(drift: &DriftingHotspots, topology: Topology, adaptive: bool) -
         .with_replicated_keys(heuristic_replicated_keys(&freqs))
         .with_sync_period(SimDuration::from_micros(500));
     if adaptive {
-        ps_cfg = ps_cfg.with_adaptive(AdaptiveConfig {
-            adapt_every: 2,
-            sketch_bits: 14,
-            ..AdaptiveConfig::default()
-        });
+        ps_cfg =
+            ps_cfg.with_adaptive(AdaptiveConfig { adapt_every: 2, ..AdaptiveConfig::default() });
     }
     let ps = ParameterServer::new(ps_cfg, |k, v| v.fill((k % 97) as f32 * 0.01));
     let mut workers = ps.workers();

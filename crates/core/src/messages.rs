@@ -125,11 +125,10 @@ pub enum Msg {
     /// Per-node deployments: a peer ships the accesses it recorded since
     /// its last report to the adaptation leader (node 0) as exact
     /// `(key, count)` pairs, one per key it touched
-    /// ([`nups_sim::metrics::AccessWindow`]). The leader folds every report
-    /// into the one count-min sketch ([`nups_sim::metrics::FreqSketch`])
-    /// and re-scores from the merged global view; adding is linear, so the
-    /// cells hold exactly what merging per-node sketches would give.
-    SketchReport { from: NodeId, counts: Vec<(Key, u64)> },
+    /// ([`nups_sim::metrics::AccessWindow`]). The leader adds every report
+    /// to its exact decayed per-key counts and re-scores from the merged
+    /// global view.
+    AccessReport { from: NodeId, counts: Vec<(Key, u64)> },
     /// Leader → everyone (including itself): the versioned migration plan
     /// of one adaptation round. Promotions carry the replica slot the
     /// leader assigned by simulating the free list, so every node's slot
@@ -181,7 +180,7 @@ mod tag {
     pub const SYNC_FIN: u8 = 22;
     pub const MODEL_PART: u8 = 23;
     pub const RELEASE: u8 = 24;
-    pub const SKETCH_REPORT: u8 = 25;
+    pub const ACCESS_REPORT: u8 = 25;
     pub const ADAPT_PLAN: u8 = 26;
     pub const PLAN_ACK: u8 = 27;
     pub const FIN_FENCE: u8 = 28;
@@ -273,7 +272,7 @@ fn pairs_len(n: usize) -> usize {
     4 + 12 * n
 }
 
-/// A sketch report's `(key, count)` pairs: a `u32` count followed by fixed
+/// An access report's `(key, count)` pairs: a `u32` count followed by fixed
 /// 16-byte entries.
 fn counts_len(n: usize) -> usize {
     4 + 16 * n
@@ -345,7 +344,7 @@ impl WireEncode for Msg {
             Msg::FinFence { .. } => 2,
             Msg::ModelPart { entries, .. } => 2 + updates_len(entries),
             Msg::Release { .. } => 8,
-            Msg::SketchReport { counts, .. } => 2 + counts_len(counts.len()),
+            Msg::AccessReport { counts, .. } => 2 + counts_len(counts.len()),
             Msg::AdaptPlan { promotions, demotions, .. } => {
                 8 + pairs_len(promotions.len()) + codec::u64_slice_len(demotions)
             }
@@ -451,8 +450,8 @@ impl WireEncode for Msg {
                 buf.put_u8(tag::RELEASE);
                 buf.put_u64_le(*epoch);
             }
-            Msg::SketchReport { from, counts } => {
-                buf.put_u8(tag::SKETCH_REPORT);
+            Msg::AccessReport { from, counts } => {
+                buf.put_u8(tag::ACCESS_REPORT);
                 buf.put_u16_le(from.0);
                 put_counts(buf, counts);
             }
@@ -524,8 +523,8 @@ impl WireEncode for Msg {
                 Msg::ModelPart { from: NodeId(get_u16(buf)?), entries: get_updates(buf)? }
             }
             tag::RELEASE => Msg::Release { epoch: get_u64(buf)? },
-            tag::SKETCH_REPORT => {
-                Msg::SketchReport { from: NodeId(get_u16(buf)?), counts: get_counts(buf)? }
+            tag::ACCESS_REPORT => {
+                Msg::AccessReport { from: NodeId(get_u16(buf)?), counts: get_counts(buf)? }
             }
             tag::ADAPT_PLAN => Msg::AdaptPlan {
                 epoch: get_u64(buf)?,
@@ -604,8 +603,8 @@ mod tests {
         });
         roundtrip(Msg::Release { epoch: 0 });
         roundtrip(Msg::Release { epoch: 9 });
-        roundtrip(Msg::SketchReport { from: NodeId(3), counts: vec![] });
-        roundtrip(Msg::SketchReport {
+        roundtrip(Msg::AccessReport { from: NodeId(3), counts: vec![] });
+        roundtrip(Msg::AccessReport {
             from: NodeId(1),
             counts: vec![(0, 7), (262_143, 35), (u64::MAX, u64::MAX)],
         });
@@ -633,10 +632,10 @@ mod tests {
 
     #[test]
     fn adaptation_message_sizes_are_honest() {
-        // The sketch report is the dominant recurring adaptation message;
+        // The access report is the dominant recurring adaptation message;
         // its size must track the keys the peer touched — 16 bytes each —
-        // not the sketch width.
-        let report = Msg::SketchReport { from: NodeId(1), counts: vec![(1, 5), (2, 5), (9, 10)] };
+        // not the key space.
+        let report = Msg::AccessReport { from: NodeId(1), counts: vec![(1, 5), (2, 5), (9, 10)] };
         assert_eq!(report.encoded_len(), 1 + 2 + (4 + 3 * 16));
         // A count field claiming more pairs than the frame holds fails
         // before anything is allocated for them.
@@ -756,7 +755,7 @@ mod tests {
                 }
             ),
             (any::<u16>(), proptest::collection::vec((any::<u64>(), any::<u64>()), 0..8))
-                .prop_map(|(from, counts)| Msg::SketchReport { from: NodeId(from), counts }),
+                .prop_map(|(from, counts)| Msg::AccessReport { from: NodeId(from), counts }),
             (
                 any::<u64>(),
                 proptest::collection::vec((any::<u64>(), any::<u32>()), 0..8),

@@ -113,14 +113,14 @@ impl Server {
             }
             Msg::SyncFin { .. } => self.shared.note_sync_fin(),
             Msg::FinFence { .. } => self.shared.note_fin_fence(),
-            Msg::SketchReport { from, counts } => return self.handle_sketch_report(from, counts),
+            Msg::AccessReport { from, counts } => return self.handle_access_report(from, counts),
             Msg::AdaptPlan { epoch, promotions, demotions } => {
-                self.handle_adapt_plan(epoch, promotions, demotions, at)
+                return self.handle_adapt_plan(epoch, promotions, demotions, at)
             }
             Msg::Promote { key, epoch, slot, value } => {
-                self.handle_promote(key, epoch, slot, value, at)
+                return self.handle_promote(key, epoch, slot, value, at)
             }
-            Msg::PlanAck { from, epoch } => self.handle_plan_ack(from, epoch, at),
+            Msg::PlanAck { from, epoch } => return self.handle_plan_ack(from, epoch, at),
             // The only pushes a server issues carry its own server port as
             // the reply address: demotion residues and stray sync deltas
             // folded at the home. Their acks land here.
@@ -456,12 +456,12 @@ impl Server {
     // still in flight locally.
     // ------------------------------------------------------------------
 
-    /// A peer's access window, folded into the leader's sketch. `false` —
+    /// A peer's access window, folded into the leader's counts. `false` —
     /// a bad frame — for a report at a server without adaptation, at a
     /// node other than the leader, or claiming to come from the leader
     /// itself. Keys outside the key space are dropped from the report: the
     /// scorer indexes the technique map with every key it scores.
-    fn handle_sketch_report(&mut self, from: NodeId, mut counts: Vec<(Key, u64)>) -> bool {
+    fn handle_access_report(&mut self, from: NodeId, mut counts: Vec<(Key, u64)>) -> bool {
         let Some(adaptive) = self.shared.adaptive.as_ref() else { return false };
         if self.me() != ADAPT_LEADER || from == self.me() {
             return false;
@@ -474,19 +474,17 @@ impl Server {
 
     /// One adaptation round's migration plan. Runs on every node
     /// (including the leader, which posts the plan to itself so it
-    /// serializes with the rest of its protocol traffic).
+    /// serializes with the rest of its protocol traffic). `false` — a bad
+    /// frame — at a server without distributed adaptation.
     fn handle_adapt_plan(
         &mut self,
         epoch: u64,
         promotions: Vec<(Key, u32)>,
         demotions: Vec<Key>,
         at: SimTime,
-    ) {
+    ) -> bool {
         let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "adapt plan without distributed adaptive state");
-            return;
-        };
+        let Some(dist) = shared.dist_adaptive.as_ref() else { return false };
         self.journal(at, "adapt_plan_apply", epoch, (promotions.len() + demotions.len()) as u64);
         let mut demote_now = Vec::with_capacity(demotions.len());
         {
@@ -546,6 +544,7 @@ impl Server {
         }
         self.maybe_plan_ack(at);
         self.shared.runtime.notify_progress();
+        true
     }
 
     /// Demote one key replicated → relocated, as instructed by a plan (or
@@ -681,22 +680,28 @@ impl Server {
     }
 
     /// A peer's (or the home's) `Promote` broadcast: install the replica
-    /// locally, or buffer it until its plan arrives.
-    fn handle_promote(&mut self, key: Key, epoch: u64, slot: u32, value: Vec<f32>, at: SimTime) {
+    /// locally, or buffer it until its plan arrives. `false` — a bad frame
+    /// — at a server without distributed adaptation.
+    fn handle_promote(
+        &mut self,
+        key: Key,
+        epoch: u64,
+        slot: u32,
+        value: Vec<f32>,
+        at: SimTime,
+    ) -> bool {
         let shared = Arc::clone(&self.shared);
-        let Some(dist) = shared.dist_adaptive.as_ref() else {
-            debug_assert!(false, "promote broadcast without distributed adaptive state");
-            return;
-        };
+        let Some(dist) = shared.dist_adaptive.as_ref() else { return false };
         {
             let mut st = dist.state();
             if epoch > st.applied_epoch {
                 st.buffered_promotes.push((epoch, key, slot, value));
-                return;
+                return true;
             }
         }
         self.admit_promote(key, slot, value, at);
         self.maybe_plan_ack(at);
+        true
     }
 
     /// Install an announced promotion whose plan has been applied here.
@@ -779,14 +784,17 @@ impl Server {
         self.shared.runtime.notify_progress();
     }
 
-    /// Leader: a peer finished a plan.
-    fn handle_plan_ack(&mut self, from: NodeId, epoch: u64, at: SimTime) {
-        debug_assert_eq!(self.me(), ADAPT_LEADER, "plan ack at non-leader");
-        self.journal(at, "plan_ack", from.0 as u64, epoch);
-        if let Some(dist) = self.shared.dist_adaptive.as_ref() {
-            dist.note_ack(from, epoch);
-            self.shared.runtime.notify_progress();
+    /// Leader: a peer finished a plan. `false` — a bad frame — at a
+    /// server other than a distributed leader, or from a node outside the
+    /// cluster.
+    fn handle_plan_ack(&mut self, from: NodeId, epoch: u64, at: SimTime) -> bool {
+        let Some(dist) = self.shared.dist_adaptive.as_ref() else { return false };
+        if self.me() != ADAPT_LEADER || !dist.note_ack(from, epoch) {
+            return false;
         }
+        self.journal(at, "plan_ack", from.0 as u64, epoch);
+        self.shared.runtime.notify_progress();
+        true
     }
 
     /// A `PushBatchAck` for pushes this server itself issued (demotion

@@ -106,8 +106,8 @@ impl ParameterServer {
     /// time is a per-process construct). Adaptive technique management
     /// runs as a distributed leader-driven epoch protocol (see
     /// [`crate::adaptive`]): node 0 folds every node's access window into
-    /// its sketch, scores and broadcasts versioned migration plans over
-    /// the fabric.
+    /// its exact decayed counts, scores and broadcasts versioned migration
+    /// plans over the fabric.
     /// `obs` is the process-wide observability bundle; a TCP-fabric
     /// process passes the same instance the fabric records its queue-wait
     /// and flush histograms into, so one flight record covers both layers.
@@ -714,17 +714,19 @@ impl Drop for ParameterServer {
 /// Run one epoch: spawn a thread per worker, call `body(worker_index,
 /// worker)` inside the epoch bracket, and join. The bracket registers each
 /// worker with the replica-sync gate so time-based synchronization can
-/// rendezvous.
+/// rendezvous. Every worker begins its epoch before any body starts: a
+/// worker not yet registered would let a faster one cross a sync boundary
+/// and merge without it.
 pub fn run_epoch<W, F>(workers: &mut [W], body: F)
 where
     W: PsWorker,
     F: Fn(usize, &mut W) + Sync,
 {
+    workers.iter_mut().for_each(|w| w.begin_epoch());
     std::thread::scope(|s| {
         for (i, w) in workers.iter_mut().enumerate() {
             let body = &body;
             s.spawn(move || {
-                w.begin_epoch();
                 body(i, w);
                 w.end_epoch();
             });
@@ -735,7 +737,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::SampleHandle;
     use nups_sim::cost::CostModel;
+    use nups_sim::time::SimDuration;
     use nups_sim::topology::Topology;
 
     fn zero_cost(cfg: NupsConfig) -> NupsConfig {
@@ -914,6 +918,77 @@ mod tests {
         w0.pull(0, &mut buf);
         let local_cost = w0.now() - before;
         assert!(local_cost.as_nanos() < cost.one_way_latency.as_nanos());
+        ps.shutdown();
+    }
+
+    /// A worker whose `begin_epoch`, if `slow`, sleeps before entering the
+    /// gate.
+    struct SlowStart {
+        inner: NupsWorker,
+        slow: bool,
+    }
+
+    impl PsWorker for SlowStart {
+        fn value_len(&self) -> usize {
+            self.inner.value_len()
+        }
+        fn pull(&mut self, key: Key, out: &mut [f32]) {
+            self.inner.pull(key, out)
+        }
+        fn push(&mut self, key: Key, delta: &[f32]) {
+            self.inner.push(key, delta)
+        }
+        fn localize(&mut self, keys: &[Key]) {
+            self.inner.localize(keys)
+        }
+        fn advance_clock(&mut self) {
+            self.inner.advance_clock()
+        }
+        fn charge_compute(&mut self, flops: u64) {
+            self.inner.charge_compute(flops)
+        }
+        fn prepare_sample(&mut self, dist: DistId, n: usize) -> SampleHandle {
+            self.inner.prepare_sample(dist, n)
+        }
+        fn pull_sample(&mut self, handle: &mut SampleHandle, n: usize) -> Vec<(Key, Vec<f32>)> {
+            self.inner.pull_sample(handle, n)
+        }
+        fn begin_epoch(&mut self) {
+            if self.slow {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            self.inner.begin_epoch()
+        }
+        fn end_epoch(&mut self) {
+            self.inner.end_epoch()
+        }
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+    }
+
+    #[test]
+    fn no_worker_merges_before_every_worker_entered_the_gate() {
+        // Worker 1 is slow to begin its epoch; worker 0 runs ten sync
+        // periods of compute at once. Entered alone, it would cross those
+        // boundaries and merge without worker 1.
+        let cfg = NupsConfig::nups(Topology::new(1, 2), 8, 1)
+            .with_replicated_keys(vec![0])
+            .with_sync_period(SimDuration::from_millis(1));
+        let flops = (0.010 / cfg.cost.seconds_per_flop) as u64;
+        let ps = ParameterServer::new(cfg, |_, v| v.fill(0.0));
+        let workers = ps.workers().into_iter().enumerate();
+        let mut workers: Vec<_> =
+            workers.map(|(i, inner)| SlowStart { inner, slow: i == 1 }).collect();
+        let merged_first = std::sync::OnceLock::new();
+        run_epoch(&mut workers, |i, w| {
+            if i == 1 {
+                merged_first.set(ps.sync_stats().syncs_done).unwrap();
+            }
+            w.charge_compute(flops);
+        });
+        assert_eq!(merged_first.get(), Some(&0), "worker 0 merged alone");
+        assert!(ps.sync_stats().syncs_done >= 9, "both workers crossed the boundaries");
         ps.shutdown();
     }
 }

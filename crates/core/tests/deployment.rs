@@ -37,7 +37,7 @@ fn adaptive_cfg(topology: Topology) -> NupsConfig {
         demote_factor: 1.0,
         max_replicated: 8,
         max_migrations_per_round: 4,
-        sketch_bits: 10,
+        ..AdaptiveConfig::default()
     })
 }
 
@@ -213,7 +213,7 @@ fn churn_cfg(topology: Topology) -> NupsConfig {
         demote_factor: 1.5,
         max_replicated: 4,
         max_migrations_per_round: 8,
-        sketch_bits: 10,
+        ..AdaptiveConfig::default()
     })
 }
 

@@ -66,7 +66,7 @@ fn local_one_key_pulls_and_pushes_allocate_nothing() {
         }
     };
     // Warm-up: lazily initialised state (thread locals, histogram and
-    // sketch storage) is paid for once, not per access.
+    // access-window storage) is paid for once, not per access.
     for _ in 0..16 {
         round(&mut w);
     }

@@ -164,7 +164,7 @@ fn parked_singleton_answers_as_batch_of_one() {
 #[test]
 fn hostile_frames_are_journaled_and_the_server_stays_up() {
     let n_keys = 8u64;
-    // Adaptive, so that node 0's server is a leader a sketch report is
+    // Adaptive, so that node 0's server is a leader an access report is
     // meant for, and every merge runs a round.
     let adaptive = AdaptiveConfig { adapt_every: 1, ..AdaptiveConfig::default() };
     let cfg = NupsConfig::lapse(Topology::new(2, 1), n_keys, VALUE_LEN).with_adaptive(adaptive);
@@ -223,12 +223,12 @@ fn hostile_frames_are_journaled_and_the_server_stays_up() {
     }
     assert_eq!(bad().len(), 5);
 
-    // Sketch reports: one at a node that is not the leader, one claiming
+    // Access reports: one at a node that is not the leader, one claiming
     // to come from the leader itself — both dropped as bad frames — and a
     // peer's report whose keys lie partly outside the key space, which the
     // leader takes without those keys.
     let report = |from: u16, counts: Vec<(u64, u64)>| {
-        Msg::SketchReport { from: NodeId(from), counts }.to_bytes().to_vec()
+        Msg::AccessReport { from: NodeId(from), counts }.to_bytes().to_vec()
     };
     let at_peer = report(0, vec![(1, 3)]);
     let from_leader = report(0, vec![(1, 3)]);
@@ -245,14 +245,58 @@ fn hostile_frames_are_journaled_and_the_server_stays_up() {
     w1.pull_many(&home0, &mut out);
     w0.pull_many(&keys, &mut out);
     assert_eq!(bad()[5..], expected, "the two misdirected reports, and nothing else");
+
+    // Frames of the distributed adaptation protocol, at servers that run
+    // adaptation in process: a plan, a promote broadcast and a plan ack
+    // at a node that is not the leader, and a plan ack at the leader.
+    let protocol = [
+        (1, Msg::AdaptPlan { epoch: 1, promotions: vec![(3, 0)], demotions: vec![5] }),
+        (1, Msg::Promote { key: 3, epoch: 1, slot: 0, value: vec![9.0; VALUE_LEN] }),
+        (1, Msg::PlanAck { from: NodeId(1), epoch: 1 }),
+        (0, Msg::PlanAck { from: NodeId(1), epoch: 1 }),
+    ];
+    let mut expected = Vec::new();
+    for (node, msg) in protocol {
+        let frame = msg.to_bytes().to_vec();
+        expected.push((frame[0] as u64, frame.len() as u64));
+        post_to(node, frame);
+    }
+    w1.pull_many(&home0, &mut out);
+    w0.pull_many(&keys, &mut out);
+    assert_eq!(bad()[7..], expected, "every adaptation frame dropped");
     // A round scores every folded key against the technique map: it would
     // index the map with an out-of-range key had the leader kept one.
     w0.begin_epoch();
     w0.charge_compute(1 << 40);
     w0.end_epoch();
     assert!(ps.metrics().adaptation_rounds > 0, "no round ran");
-    assert_eq!(bad().len(), 7);
+    assert_eq!(bad().len(), 11);
     drop((w0, w1));
     assert_eq!(ps.read_value(keys[0]), vec![keys[0] as f32 + 2.0; VALUE_LEN]);
+    assert_eq!(ps.read_value(3), vec![3.0; VALUE_LEN], "the dropped plan promoted nothing");
+    ps.shutdown();
+
+    // A per-node leader, which tracks each node's plan acks: an ack from a
+    // node outside the cluster is dropped too. The test plays node 1.
+    let cfg = NupsConfig::lapse(Topology::new(2, 1), n_keys, VALUE_LEN)
+        .with_adaptive(AdaptiveConfig::default())
+        .with_backend(Backend::WallClock);
+    let (ps, fabric, obs) = deploy(cfg, Deployment::SingleNode(NodeId(0)));
+    let peer_worker = fabric.bind(Addr::worker(NodeId(1), 0));
+    let node0 = Addr::server(NodeId(0));
+    let mut expected = Vec::new();
+    for from in [NodeId(2), NodeId(u16::MAX)] {
+        let ack = Msg::PlanAck { from, epoch: 1 }.to_bytes();
+        expected.push((ack[0] as u64, ack.len() as u64));
+        peer_worker.send(node0, SimTime::ZERO, ack);
+    }
+    let served = nups_core::KeySpace::new(n_keys, 2).range_of(NodeId(0)).start;
+    let pull = Msg::PullBatchReq { keys: vec![served], reply_to: peer_worker.addr(), hops: 1 };
+    peer_worker.send(node0, SimTime::ZERO, pull.to_bytes());
+    assert!(matches!(recv_msg(&*peer_worker), Msg::PullBatchResp { .. }), "node 0 stays up");
+    let events = obs.trace.events();
+    let bad: Vec<(u64, u64)> =
+        events.iter().filter(|e| e.name == "bad_frame").map(|e| (e.a, e.b)).collect();
+    assert_eq!(bad, expected, "both out-of-cluster acks dropped");
     ps.shutdown();
 }

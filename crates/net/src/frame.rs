@@ -38,9 +38,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"NUPS");
 /// Current protocol version. Bumped on any incompatible frame or message
 /// change; the handshake rejects mismatched peers at connect time.
 /// Version 2 retired version 1's single-key pull/push/localize messages
-/// (every access is a batch message now); version 3 changed `SketchReport`
-/// from count-min cells to exact `(key, count)` pairs. A mixed cluster
-/// must fail here rather than mis-decode payloads.
+/// (every access is a batch message now); version 3 changed the access
+/// report (then `SketchReport`, since renamed `AccessReport` with the same
+/// tag and bytes) from count-min cells to exact `(key, count)` pairs. A
+/// mixed cluster must fail here rather than mis-decode payloads.
 pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Size of the fixed frame header. Kept equal to the cost model's
@@ -559,7 +560,7 @@ mod tests {
 
     #[test]
     fn version_2_peer_rejected() {
-        // A node built before sketch reports carried (key, count) pairs:
+        // A node built before access reports carried (key, count) pairs:
         // its report would decode here as garbage pairs, so the header
         // must stop it first.
         let f = frame(Addr::server(NodeId(1)), Addr::server(NodeId(0)), 0, b"x");

@@ -194,7 +194,7 @@ fn adaptive_cfg(topology: Topology) -> NupsConfig {
         demote_factor: 1.0,
         max_replicated: 8,
         max_migrations_per_round: 4,
-        sketch_bits: 10,
+        ..AdaptiveConfig::default()
     })
 }
 

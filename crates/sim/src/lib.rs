@@ -35,7 +35,7 @@ pub use clock::{ClusterClocks, WorkerClock};
 pub use codec::{CodecError, WireEncode};
 pub use cost::CostModel;
 pub use hist::{Hist, HistSnapshot, OpHists, OpHistsSnapshot};
-pub use metrics::{ClusterMetrics, FreqSketch, Metrics, MetricsSnapshot};
+pub use metrics::{ClusterMetrics, Metrics, MetricsSnapshot};
 pub use net::{Endpoint, Frame, Network};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Addr, NodeId, Topology, WorkerId};

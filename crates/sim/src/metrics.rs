@@ -251,113 +251,6 @@ impl ClusterMetrics {
     }
 }
 
-/// A per-key access-frequency sketch (two-row count-min), owned by the
-/// adaptation scorer.
-///
-/// Nothing records into it directly: workers count accesses in an
-/// [`AccessWindow`], and at each adaptation round the scorer — the
-/// in-process manager, or the leader of a per-node deployment — folds its
-/// own window and every peer's report in with [`FreqSketch::add`]. Adding
-/// is linear, so the cells end up exactly as if every access had been
-/// recorded here one by one. Estimates are upper bounds (hash collisions
-/// only ever inflate), which errs toward replicating slightly-too-cold
-/// keys rather than missing hot ones. All hashing is fixed, so sketch
-/// contents — and every decision derived from them — are deterministic
-/// for a deterministic access stream.
-///
-/// A round's sketch work is proportional to what it touches, never to the
-/// width: a fold costs one step per `(key, count)` pair, and
-/// [`FreqSketch::decay`] halves only the nonzero cells. The rows are
-/// zero-initialised allocations, so a cell nothing was added to takes no
-/// resident memory either. Cells are 32-bit and saturate: decay keeps a
-/// cell near twice the accesses one round adds to it, far below 2^32.
-#[derive(Debug)]
-pub struct FreqSketch {
-    rows: [Vec<u32>; 2],
-    /// Index of every nonzero cell of each row, for decay.
-    occupied: [Vec<u32>; 2],
-    mask: u64,
-    shift: u32,
-    total: u64,
-}
-
-const SKETCH_HASH_0: u64 = 0x9E37_79B9_7F4A_7C15;
-const SKETCH_HASH_1: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-impl FreqSketch {
-    /// Build a sketch with `1 << bits` counters per row (`bits` clamped to
-    /// `[4, 24]`).
-    pub fn new(bits: u32) -> FreqSketch {
-        let bits = bits.clamp(4, 24);
-        let width = 1usize << bits;
-        FreqSketch {
-            rows: [vec![0; width], vec![0; width]],
-            occupied: [Vec::new(), Vec::new()],
-            mask: (width - 1) as u64,
-            shift: 64 - bits,
-            total: 0,
-        }
-    }
-
-    #[inline]
-    fn cells(&self, key: u64) -> [usize; 2] {
-        // Multiplicative hashes; take the high bits (low bits of a
-        // multiplicative hash are poorly mixed for dense keys).
-        let i0 = (key.wrapping_mul(SKETCH_HASH_0) >> self.shift) & self.mask;
-        let i1 = (key.wrapping_mul(SKETCH_HASH_1) >> self.shift) & self.mask;
-        [i0 as usize, i1 as usize]
-    }
-
-    /// Add `n` accesses to `key`. Saturates rather than wrapping: counts
-    /// arrive in peer reports, and bytes off a socket must not overflow.
-    pub fn add(&mut self, key: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let n32 = u32::try_from(n).unwrap_or(u32::MAX);
-        for (row, i) in self.cells(key).into_iter().enumerate() {
-            let cell = &mut self.rows[row][i];
-            if *cell == 0 {
-                self.occupied[row].push(i as u32);
-            }
-            *cell = cell.saturating_add(n32);
-        }
-        self.total = self.total.saturating_add(n);
-    }
-
-    /// Estimated access count of `key` (an upper bound on the true count,
-    /// short of saturation).
-    #[inline]
-    pub fn estimate(&self, key: u64) -> u64 {
-        let [i0, i1] = self.cells(key);
-        self.rows[0][i0].min(self.rows[1][i1]) as u64
-    }
-
-    /// Total added accesses across all keys (halved by each decay).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Nonzero cells across both rows: what the next decay visits.
-    pub fn occupied(&self) -> usize {
-        self.occupied[0].len() + self.occupied[1].len()
-    }
-
-    /// Exponential decay: halve every counter, visiting only the nonzero
-    /// cells. Called after each adaptation round so drifting hot sets age
-    /// out instead of accumulating forever.
-    pub fn decay(&mut self) {
-        for (row, occupied) in self.rows.iter_mut().zip(&mut self.occupied) {
-            occupied.retain(|&i| {
-                let cell = &mut row[i as usize];
-                *cell /= 2;
-                *cell != 0
-            });
-        }
-        self.total /= 2;
-    }
-}
-
 /// Counters per [`AccessWindow`] page (256 KiB of them). Measured on the
 /// 2-vCPU benchmark host with the ledger's record rung: 32 768-key pages
 /// beat 512-, 4 096- and 262 144-key ones.
@@ -493,21 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_estimates_upper_bound_true_counts() {
-        let mut s = FreqSketch::new(12);
-        for k in 0..200u64 {
-            s.add(k, k + 1);
-        }
-        for k in 0..200u64 {
-            assert!(s.estimate(k) > k, "estimate must never undercount key {k} ({})", k + 1);
-        }
-        assert_eq!(s.total(), (1..=200).sum::<u64>());
-        // Unrecorded keys mostly read zero at this load factor; at minimum
-        // the estimate is bounded by the heaviest recorded key.
-        assert!(s.estimate(100_000) <= 200);
-    }
-
-    #[test]
     fn window_record_keys_equals_recording_each_key() {
         let (batched, scalar) = (AccessWindow::new(), AccessWindow::new());
         let calls: [&[u64]; 4] = [&[3, 3, 900, 41], &[], &[7], &[41, 3, 3, 3, 12_345]];
@@ -519,79 +397,6 @@ mod tests {
         assert_eq!(drained, [(3, 5), (900, 1), (41, 2), (7, 1), (12_345, 1)]);
         assert_eq!(drained, scalar.drain());
         assert!(batched.drain().is_empty(), "a drain empties the window");
-    }
-
-    #[test]
-    fn sketch_decay_halves_counts() {
-        let mut s = FreqSketch::new(10);
-        s.add(7, 100);
-        s.decay();
-        assert_eq!(s.estimate(7), 50);
-        assert_eq!(s.total(), 50);
-        s.decay();
-        assert_eq!(s.estimate(7), 25);
-    }
-
-    #[test]
-    fn sketch_decay_visits_only_occupied_cells() {
-        let mut s = FreqSketch::new(16);
-        assert_eq!(s.occupied(), 0, "a fresh sketch has nothing to decay");
-        s.add(1, 3);
-        s.add(2, 1);
-        s.add(1, 1);
-        assert_eq!(s.occupied(), 4, "two keys, one cell per row each");
-        s.decay();
-        assert_eq!((s.estimate(1), s.estimate(2)), (2, 0));
-        assert_eq!(s.occupied(), 2, "key 2's cells reached 0 and left the list");
-        s.add(2, 2);
-        s.decay();
-        s.decay();
-        assert_eq!((s.estimate(1), s.estimate(2), s.occupied()), (0, 0, 0));
-        // Counts from a peer's report saturate instead of wrapping.
-        s.add(5, u64::MAX);
-        s.add(5, 7);
-        assert_eq!((s.estimate(5), s.total()), (u32::MAX as u64, u64::MAX));
-    }
-
-    #[test]
-    fn sketch_drain_then_merge_is_lossless() {
-        // A window drained and folded into a sketch leaves it exactly as
-        // adding every access one by one would.
-        let window = AccessWindow::new();
-        let mut b = FreqSketch::new(10);
-        for k in 0..500u64 {
-            window.record(k % 37);
-        }
-        b.add(7, 3);
-        let drained = window.drain();
-        assert_eq!(drained.iter().map(|&(_, n)| n).sum::<u64>(), 500);
-        assert_eq!(drained.len(), 37, "one pair per key touched");
-        assert!(window.drain().is_empty());
-        for &(key, n) in &drained {
-            b.add(key, n);
-        }
-        let mut reference = FreqSketch::new(10);
-        for k in 0..500u64 {
-            reference.add(k % 37, 1);
-        }
-        reference.add(7, 3);
-        assert_eq!(b.total(), reference.total());
-        assert_eq!(b.occupied(), reference.occupied());
-        for k in 0..37u64 {
-            assert_eq!(b.estimate(k), reference.estimate(k), "key {k}");
-        }
-    }
-
-    #[test]
-    fn sketch_is_deterministic() {
-        let build = || {
-            let mut s = FreqSketch::new(8);
-            for k in 0..5000u64 {
-                s.add(k % 321, 1);
-            }
-            (0..321u64).map(|k| s.estimate(k)).collect::<Vec<_>>()
-        };
-        assert_eq!(build(), build());
     }
 
     #[test]

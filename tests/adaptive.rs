@@ -38,7 +38,6 @@ fn adaptive_cfg() -> AdaptiveConfig {
         adapt_every: 2,
         promote_factor: 20.0,
         demote_factor: 5.0,
-        sketch_bits: 12,
         ..AdaptiveConfig::default()
     }
 }
@@ -179,7 +178,6 @@ fn migration_racing_pushes_and_localizes_is_exact() {
             adapt_every: 1,
             promote_factor: 4.0,
             demote_factor: 2.0,
-            sketch_bits: 10,
             ..AdaptiveConfig::default()
         });
     let ps = ParameterServer::new(cfg, |_, v| v.fill(0.0));
